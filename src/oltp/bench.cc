@@ -16,10 +16,16 @@ namespace snf::oltp
 namespace
 {
 
+double
+secondsBetween(std::chrono::steady_clock::time_point a,
+               std::chrono::steady_clock::time_point b)
+{
+    return std::chrono::duration<double>(b - a).count();
+}
+
 /** One timed end-to-end simulation of a cell. */
 OltpCellResult
-runOnce(const OltpCellSpec &cell, const OltpMatrixConfig &cfg,
-        double *wallSec)
+runOnce(const OltpCellSpec &cell, const OltpMatrixConfig &cfg)
 {
     workloads::WorkloadParams params;
     params.threads = cfg.threads;
@@ -64,12 +70,14 @@ runOnce(const OltpCellSpec &cell, const OltpMatrixConfig &cfg,
             return workload->thread(sys, t, params);
         });
     }
+    auto tSetup = std::chrono::steady_clock::now();
     Tick end = sys.run(kTickNever);
 
     // Stats reflect the measured run; the final flush only exposes a
     // complete image for the oracle (as in workloads::runWorkload).
     RunStats s = sys.collectStats(end);
     sys.flushAll(end);
+    auto tRun = std::chrono::steady_clock::now();
     std::string why;
     if (!workload->verify(sys.mem().nvram().store(), &why))
         fatal("oltp bench cell %s/%s/%s failed verification: %s",
@@ -77,7 +85,10 @@ runOnce(const OltpCellSpec &cell, const OltpMatrixConfig &cfg,
               ccModeName(cell.cc), why.c_str());
 
     auto t1 = std::chrono::steady_clock::now();
-    *wallSec = std::chrono::duration<double>(t1 - t0).count();
+    r.setupSec = secondsBetween(t0, tSetup);
+    r.runSec = secondsBetween(tSetup, tRun);
+    r.verifySec = secondsBetween(tRun, t1);
+    r.wallSec = secondsBetween(t0, t1);
 
     r.cycles = s.cycles;
     r.committedTx = s.committedTx;
@@ -139,12 +150,10 @@ runOltpCell(const OltpCellSpec &cell, const OltpMatrixConfig &cfg)
          r < cfg.minRepeats ||
          (cfg.secondsPerCell > 0.0 && total < cfg.secondsPerCell);
          ++r) {
-        double sec = 0.0;
-        OltpCellResult cur = runOnce(cell, cfg, &sec);
-        total += sec;
+        OltpCellResult cur = runOnce(cell, cfg);
+        total += cur.wallSec;
         if (r == 0) {
             best = std::move(cur);
-            best.wallSec = sec;
         } else {
             if (!best.countersEqual(cur))
                 fatal("oltp bench cell %s/%s/%s not deterministic "
@@ -152,7 +161,12 @@ runOltpCell(const OltpCellSpec &cell, const OltpMatrixConfig &cfg)
                       cell.engine.c_str(),
                       persistModeName(cell.mode),
                       ccModeName(cell.cc));
-            best.wallSec = std::min(best.wallSec, sec);
+            if (cur.wallSec < best.wallSec) {
+                best.wallSec = cur.wallSec;
+                best.setupSec = cur.setupSec;
+                best.runSec = cur.runSec;
+                best.verifySec = cur.verifySec;
+            }
         }
         ++best.repeats;
     }
@@ -245,6 +259,9 @@ oltpBenchJson(const OltpMatrixConfig &cfg,
         out << "      },\n";
         out << "      \"perf\": {\n";
         out << "        \"wall_sec\": " << r.wallSec << ",\n";
+        out << "        \"setup_sec\": " << r.setupSec << ",\n";
+        out << "        \"run_sec\": " << r.runSec << ",\n";
+        out << "        \"verify_sec\": " << r.verifySec << ",\n";
         out << "        \"sim_tx_per_sec\": "
             << (r.wallSec > 0.0
                     ? static_cast<double>(r.committedTx) / r.wallSec

@@ -93,7 +93,15 @@ struct OltpCellResult
     std::uint64_t wcbOccMax = 0;
     std::vector<OltpTypeCounters> types;
 
+    /**
+     * Host seconds of the fastest repeat, and its phases: setup
+     * (System and engine setup), run (System::run and the final
+     * flush), verify (the engine's oracle). They sum to wallSec.
+     */
     double wallSec = 0.0;
+    double setupSec = 0.0;
+    double runSec = 0.0;
+    double verifySec = 0.0;
     std::uint64_t repeats = 0;
 
     /** Equality of the deterministic counters block only. */

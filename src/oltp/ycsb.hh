@@ -36,6 +36,12 @@ class YcsbEngine : public OltpEngine
 
     std::uint64_t keys() const { return nkeys; }
 
+    /** NVRAM address of record @p k (version word first). */
+    Addr recordAddr(std::uint64_t k) const
+    {
+        return records + k * kRecordBytes;
+    }
+
   private:
     enum TxType : std::size_t
     {
@@ -45,11 +51,6 @@ class YcsbEngine : public OltpEngine
 
     static constexpr std::uint64_t kRecordBytes = 64;
     static constexpr std::uint64_t kPayloadWords = 4;
-
-    Addr recordAddr(std::uint64_t k) const
-    {
-        return records + k * kRecordBytes;
-    }
 
     Addr records = 0;
     Addr dramIndex = 0;

@@ -1,6 +1,11 @@
 #include "sim/rng.hh"
 
+#include <atomic>
+#include <bit>
 #include <cmath>
+#include <map>
+#include <mutex>
+#include <utility>
 
 #include "sim/logging.hh"
 
@@ -102,20 +107,74 @@ Rng::str(std::size_t len)
     return out;
 }
 
+namespace
+{
+
+/** Sum 1 / i^theta for i in [1, n], in order (the order fixes the bits). */
+double
+zetaSum(std::uint64_t n, double theta)
+{
+    double z = 0.0;
+    for (std::uint64_t i = 1; i <= n; ++i)
+        z += 1.0 / std::pow(static_cast<double>(i), theta);
+    return z;
+}
+
+std::atomic<std::uint64_t> zetaBuildCount{0};
+
+/**
+ * zetaSum(n, theta), computed once per process per (n, theta). The
+ * table lock only finds or inserts the entry; the sum runs under the
+ * entry's once_flag, so threads racing on one key wait for a single
+ * build while builds of different keys proceed in parallel. std::map
+ * nodes never move, so entry pointers outlive later insertions.
+ */
+double
+memoZeta(std::uint64_t n, double theta)
+{
+    struct Entry
+    {
+        std::once_flag built;
+        double value = 0.0;
+    };
+    static std::mutex lock;
+    static std::map<std::pair<std::uint64_t, std::uint64_t>, Entry> table;
+
+    Entry *e = nullptr;
+    {
+        std::lock_guard<std::mutex> g(lock);
+        e = &table[{n, std::bit_cast<std::uint64_t>(theta)}];
+    }
+    std::call_once(e->built, [&] {
+        e->value = zetaSum(n, theta);
+        zetaBuildCount.fetch_add(1, std::memory_order_relaxed);
+    });
+    return e->value;
+}
+
+} // namespace
+
 Zipf::Zipf(std::uint64_t n, double t)
     : numItems(n), theta(t)
 {
     SNF_ASSERT(n > 0, "Zipf over empty set");
     SNF_ASSERT(theta > 0.0 && theta < 1.0, "Zipf theta out of range");
-    double zeta2 = 0.0;
-    for (std::uint64_t i = 1; i <= 2 && i <= n; ++i)
-        zeta2 += 1.0 / std::pow(static_cast<double>(i), theta);
-    zetan = 0.0;
-    for (std::uint64_t i = 1; i <= n; ++i)
-        zetan += 1.0 / std::pow(static_cast<double>(i), theta);
+    zetan = memoZeta(n, theta);
     alpha = 1.0 / (1.0 - theta);
-    eta = (1.0 - std::pow(2.0 / static_cast<double>(n), 1.0 - theta)) /
-          (1.0 - zeta2 / zetan);
+    // sample() answers n <= 2 from zetan alone; the general formula's
+    // denominator 1 - zeta2/zetan is zero there.
+    eta = 0.0;
+    if (n > 2) {
+        const double zeta2 = zetaSum(2, theta);
+        eta = (1.0 - std::pow(2.0 / static_cast<double>(n), 1.0 - theta)) /
+              (1.0 - zeta2 / zetan);
+    }
+}
+
+std::uint64_t
+Zipf::zetaBuilds()
+{
+    return zetaBuildCount.load(std::memory_order_relaxed);
 }
 
 std::uint64_t

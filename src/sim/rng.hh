@@ -62,6 +62,11 @@ class Rng
 /**
  * Zipfian key-popularity generator (YCSB-style) over [0, n).
  * theta in (0, 1); larger theta = more skew.
+ *
+ * The O(n) normalizer zeta(n, theta) is summed once per distinct
+ * (n, theta) per process and shared by every later construction, from
+ * any thread. The sum is the same sequential loop either way, so a
+ * memoized Zipf samples bit-identically to a freshly summed one.
  */
 class Zipf
 {
@@ -71,6 +76,12 @@ class Zipf
     std::uint64_t sample(Rng &rng) const;
 
     std::uint64_t n() const { return numItems; }
+
+    /** zeta(n, theta) = sum of 1 / i^theta for i in [1, n]. */
+    double zeta() const { return zetan; }
+
+    /** zeta sums computed so far in this process (memo misses). */
+    static std::uint64_t zetaBuilds();
 
   private:
     std::uint64_t numItems;

@@ -2,8 +2,9 @@
  * @file
  * OLTP engine tests (DESIGN §8, ctest label `oltp`): the TPC-C
  * consistency oracle after clean runs AND after crash-point recovery
- * under every guaranteed mode × CC scheme, the oracle's own teeth (a
- * corrupted image must be rejected), YCSB torn-update detection at a
+ * under every guaranteed mode × CC scheme, the oracles' own teeth (a
+ * corrupted TPC-C or YCSB image must be rejected, the YCSB one naming
+ * the lowest torn key), YCSB torn-update detection at a
  * large Zipf-skewed keyspace, counter determinism across repeats and
  * across host --jobs, the no-steal empty-write-set abort being legal
  * under redo-only logging, the contended multi-shard crash sweep
@@ -16,6 +17,7 @@
 #include <tuple>
 
 #include "crashlab/sweep.hh"
+#include "mem/backing_store.hh"
 #include "oltp/bench.hh"
 #include "oltp/latency.hh"
 #include "oltp/tpcc.hh"
@@ -161,6 +163,87 @@ TEST(TpccOracleTeeth, CorruptedImageIsRejected)
     EXPECT_NE(why.find("w_ytd"), std::string::npos) << why;
 }
 
+// The YCSB oracle has the same teeth: a torn record is rejected with
+// its key and word, wherever it sits — on a page the run wrote or on
+// one it never touched — and the lowest torn key is the one reported.
+
+namespace
+{
+
+std::string
+tornMessage(std::uint64_t key, std::uint64_t word, std::uint64_t value,
+            std::uint64_t version)
+{
+    return "key " + std::to_string(key) + ": payload word " +
+           std::to_string(word) + " = " + std::to_string(value) +
+           " but version " + std::to_string(version) + " (torn update)";
+}
+
+} // namespace
+
+TEST(YcsbOracleTeeth, TornRecordsAreRejectedLowestKeyFirst)
+{
+    WorkloadParams params;
+    params.threads = 2;
+    params.txPerThread = 60;
+    params.footprint = 65536;
+    params.zipfTheta = 0.9;
+    params.seed = 9;
+
+    SystemConfig cfg = SystemConfig::scaled(params.threads);
+    cfg.persist.ccMode = CcMode::TwoPhase;
+    System sys(cfg, PersistMode::Fwb);
+    YcsbEngine eng;
+    eng.setup(sys, params);
+
+    // Never touched: every record page is absent and reads as zero.
+    const mem::BackingStore &store = sys.mem().nvram().store();
+    const std::uint64_t last = eng.keys() - 1;
+    std::uint64_t avail = 0;
+    for (Addr a = eng.recordAddr(0); a < eng.recordAddr(last + 1);
+         a += avail)
+        ASSERT_EQ(store.pageAt(a, &avail), nullptr);
+    std::string why;
+    EXPECT_TRUE(eng.verify(store, &why)) << why;
+
+    for (CoreId c = 0; c < params.threads; ++c)
+        sys.spawn(c, [&](Thread &t) -> sim::Co<void> {
+            return eng.thread(sys, t, params);
+        });
+    Tick end = sys.run(kTickNever);
+    sys.flushAll(end);
+    ASSERT_TRUE(eng.verify(store, &why)) << why;
+
+    // A key some update committed to, and a last key whose page no
+    // transaction touched.
+    std::uint64_t touched = 0;
+    while (touched < last && store.read64(eng.recordAddr(touched)) == 0)
+        ++touched;
+    const std::uint64_t version = store.read64(eng.recordAddr(touched));
+    ASSERT_NE(version, 0u) << "no update committed";
+    ASSERT_EQ(store.pageAt(eng.recordAddr(last), &avail), nullptr);
+
+    {
+        mem::BackingStore img = store;
+        img.write64(eng.recordAddr(touched) + 8 * 3, version + 5);
+        EXPECT_FALSE(eng.verify(img, &why));
+        EXPECT_EQ(why, tornMessage(touched, 2, version + 5, version));
+    }
+    {
+        mem::BackingStore img = store;
+        img.write64(eng.recordAddr(last) + 8 * 4, 1);
+        EXPECT_FALSE(eng.verify(img, &why));
+        EXPECT_EQ(why, tornMessage(last, 3, 1, 0));
+    }
+    {
+        mem::BackingStore img = store;
+        img.write64(eng.recordAddr(last) + 8 * 4, 1);
+        img.write64(eng.recordAddr(touched) + 8 * 1, version + 1);
+        EXPECT_FALSE(eng.verify(img, &why));
+        EXPECT_EQ(why, tornMessage(touched, 0, version + 1, version));
+    }
+}
+
 // ------------------------------------------------------------------
 // No-steal discipline: under redo-only logging a conflict-doomed
 // transaction aborts with an empty write-set — tx_abort must be legal
@@ -210,6 +293,12 @@ TEST(OltpBench, CountersIdenticalAcrossRepeatsAndJobs)
             << cells[i].engine << " counters depend on --jobs";
     EXPECT_GT(serial[0].committedTx, 0u);
     EXPECT_GT(serial[0].occSamples, 0u);
+    // The host phases split the fastest repeat's wall time.
+    for (const OltpCellResult &r : serial) {
+        EXPECT_GT(r.runSec, 0.0);
+        EXPECT_NEAR(r.setupSec + r.runSec + r.verifySec, r.wallSec,
+                    1e-9);
+    }
 }
 
 // ------------------------------------------------------------------

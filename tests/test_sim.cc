@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <functional>
 #include <sstream>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -399,6 +401,135 @@ TEST(Zipf, SkewsTowardsSmallKeys)
     }
     // The 1% hottest keys should draw far more than 1% of samples.
     EXPECT_GT(low, total / 10);
+}
+
+namespace
+{
+
+/** FNV-1a over the first 1000 samples of @p zipf from Rng(@p seed). */
+std::uint64_t
+zipfStreamHash(const Zipf &zipf, std::uint64_t seed,
+               std::vector<std::uint64_t> *head = nullptr)
+{
+    Rng rng(seed);
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (int i = 0; i < 1000; ++i) {
+        std::uint64_t v = zipf.sample(rng);
+        if (head && head->size() < 12)
+            head->push_back(v);
+        h = (h ^ v) * 0x100000001b3ULL;
+    }
+    return h;
+}
+
+/** The zeta sum exactly as Zipf has always computed it. */
+double
+sequentialZeta(std::uint64_t n, double theta)
+{
+    double z = 0.0;
+    for (std::uint64_t i = 1; i <= n; ++i)
+        z += 1.0 / std::pow(static_cast<double>(i), theta);
+    return z;
+}
+
+} // namespace
+
+// Golden streams recorded from the implementation that summed zeta
+// afresh in every constructor: the memoized table must reproduce them
+// bit for bit, on the constructing miss and on every later hit.
+TEST(Zipf, MemoizedStreamsMatchGoldenColdAndWarm)
+{
+    struct Golden
+    {
+        std::uint64_t n;
+        double theta;
+        std::uint64_t seed;
+        std::vector<std::uint64_t> head;
+        std::uint64_t hash;
+    };
+    const Golden golden[] = {
+        {1000000, 0.9, 42,
+         {4, 1502, 59178, 550399, 938676, 142161, 87637, 293248, 131420,
+          20924, 60650, 372},
+         0xa1ac0ceba449a4c5ULL},
+        {1000, 0.8, 7,
+         {258, 14, 506, 927, 964, 587, 0, 2, 40, 3, 104, 303},
+         0x48318989105fd0aeULL},
+    };
+    for (const Golden &g : golden) {
+        const std::uint64_t before = Zipf::zetaBuilds();
+        Zipf cold(g.n, g.theta);
+        const std::uint64_t built = Zipf::zetaBuilds();
+        EXPECT_LE(built - before, 1u);
+        Zipf warm(g.n, g.theta);
+        EXPECT_EQ(Zipf::zetaBuilds(), built) << "a hit must not rebuild";
+        for (const Zipf *z : {&cold, &warm}) {
+            std::vector<std::uint64_t> head;
+            EXPECT_EQ(zipfStreamHash(*z, g.seed, &head), g.hash)
+                << "Zipf(" << g.n << ", " << g.theta << ")";
+            EXPECT_EQ(head, g.head);
+            EXPECT_EQ(z->zeta(), sequentialZeta(g.n, g.theta));
+        }
+    }
+}
+
+// Eight threads construct one cold (n, theta) at once, plus one
+// distinct (n, theta) each: every table is built exactly once, and
+// every stream and zeta is the single-threaded one.
+TEST(Zipf, ConcurrentConstructionIsBitIdentical)
+{
+    constexpr unsigned kThreads = 8;
+    constexpr std::uint64_t kSharedN = 200000;
+    constexpr double kSharedTheta = 0.95;
+    constexpr std::uint64_t kGolden = 0xf61dcb2127d7ece7ULL;
+    auto distinctN = [](unsigned t) { return 100000 + 1000 * t; };
+    auto distinctTheta = [](unsigned t) { return 0.6 + 0.04 * t; };
+
+    const std::uint64_t before = Zipf::zetaBuilds();
+    std::vector<std::uint64_t> shared(kThreads), own(kThreads);
+    std::vector<double> ownZeta(kThreads);
+    std::vector<std::thread> pool;
+    for (unsigned t = 0; t < kThreads; ++t)
+        pool.emplace_back([&, t] {
+            shared[t] = zipfStreamHash(Zipf(kSharedN, kSharedTheta), 3);
+            Zipf mine(distinctN(t), distinctTheta(t));
+            own[t] = zipfStreamHash(mine, t);
+            ownZeta[t] = mine.zeta();
+        });
+    for (auto &th : pool)
+        th.join();
+
+    EXPECT_LE(Zipf::zetaBuilds() - before, kThreads + 1);
+    for (unsigned t = 0; t < kThreads; ++t) {
+        EXPECT_EQ(shared[t], kGolden) << "thread " << t;
+        EXPECT_EQ(ownZeta[t],
+                  sequentialZeta(distinctN(t), distinctTheta(t)))
+            << "thread " << t;
+        EXPECT_EQ(own[t],
+                  zipfStreamHash(Zipf(distinctN(t), distinctTheta(t)), t))
+            << "thread " << t;
+    }
+}
+
+// n <= 2 has no tail to invert (sample() answers from zeta alone), so
+// eta must not be the 0/0 or x/0 of the general formula; samples stay
+// inside [0, n).
+TEST(Zipf, TinyKeyspacesSampleInRange)
+{
+    for (std::uint64_t n : {1u, 2u}) {
+        for (double theta : {0.1, 0.5, 0.99}) {
+            Zipf zipf(n, theta);
+            Rng rng(n * 31 + 1);
+            std::vector<std::uint64_t> seen(n);
+            for (int i = 0; i < 2000; ++i) {
+                std::uint64_t k = zipf.sample(rng);
+                ASSERT_LT(k, n);
+                ++seen[k];
+            }
+            for (std::uint64_t k = 0; k < n; ++k)
+                EXPECT_GT(seen[k], 0u) << "n=" << n << " key " << k;
+        }
+    }
 }
 
 TEST(Stats, CountersAndScalars)

@@ -4,7 +4,8 @@
  * multi-warehouse TPC-C and Zipf-skewed YCSB engines across the
  * {fwb, undo-clwb, redo-clwb} × {2pl, tl2} matrix and reports
  * throughput, commit-latency quantiles (p50/p99/p999), abort/retry
- * rates, and log-buffer / WCB occupancy per mode.
+ * rates, log-buffer / WCB occupancy per mode, and each cell's host
+ * wall time split into setup, run and verify phases.
  *
  * Usage:
  *   snfoltp [options]
@@ -76,9 +77,11 @@ parsePositiveSecondsFlag(const char *flag, const char *value)
 void
 printTable(const std::vector<OltpCellResult> &results)
 {
-    std::printf("%-9s %-9s %-4s %9s %9s %8s %8s %9s %7s %7s\n",
+    std::printf("%-9s %-9s %-4s %9s %9s %8s %8s %9s %7s %7s %8s %8s "
+                "%8s %9s\n",
                 "workload", "mode", "cc", "commits", "tx/Mcyc",
-                "aborts", "retries", "log-recs", "logocc", "wcbocc");
+                "aborts", "retries", "log-recs", "logocc", "wcbocc",
+                "wall-ms", "setup-ms", "run-ms", "verify-ms");
     for (const OltpCellResult &r : results) {
         double txPerMcycle =
             r.cycles == 0 ? 0.0
@@ -96,7 +99,7 @@ printTable(const std::vector<OltpCellResult> &results)
                       static_cast<double>(r.occSamples);
         std::printf(
             "%-9s %-9s %-4s %9llu %9.1f %8llu %8llu %9llu %7.1f "
-            "%7.1f\n",
+            "%7.1f %8.1f %8.1f %8.1f %9.1f\n",
             r.spec.engine.c_str(), persistModeName(r.spec.mode),
             ccModeName(r.spec.cc),
             static_cast<unsigned long long>(r.committedTx),
@@ -104,7 +107,8 @@ printTable(const std::vector<OltpCellResult> &results)
             static_cast<unsigned long long>(r.abortedTx),
             static_cast<unsigned long long>(r.retries),
             static_cast<unsigned long long>(r.logRecords), logOccAvg,
-            wcbOccAvg);
+            wcbOccAvg, 1e3 * r.wallSec, 1e3 * r.setupSec,
+            1e3 * r.runSec, 1e3 * r.verifySec);
         for (const OltpTypeCounters &t : r.types)
             std::printf("    %-12s commits=%-7llu p50=%-6llu "
                         "p99=%-6llu p999=%-6llu max=%llu\n",
