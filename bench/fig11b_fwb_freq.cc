@@ -56,7 +56,7 @@ main()
         SystemConfig cfg = benchConfig(4);
         cfg.persist.logBytes = kb * 1024;
         cfg.map.logSize = kb * 1024;
-        Tick period = persist::FwbEngine::derivePeriod(cfg);
+        Tick period = persist::FwbEngine::derivePeriod(cfg, 1);
         std::uint64_t at_derived = hazardsAt(kb * 1024, 0);
         std::uint64_t at_slow = hazardsAt(kb * 1024, period * 100);
         std::printf("%8lluKB %13llu cy %16llu %18llu\n",

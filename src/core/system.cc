@@ -41,9 +41,8 @@ System::System(const SystemConfig &config, PersistMode m)
             ? cfg.numCores
             : 1;
     std::uint32_t shards = cfg.persist.logShards;
-    cfg.map.logPartitions = partitions;
-    cfg.map.logShards = shards;
     std::uint32_t region_count = std::max(partitions, shards);
+    cfg.map.logRegions = region_count;
     std::uint64_t part_bytes = cfg.map.logSize / region_count;
     for (std::uint32_t p = 0; p < region_count; ++p) {
         logRegions.push_back(std::make_unique<persist::LogRegion>(
@@ -150,7 +149,7 @@ System::System(const SystemConfig &config, PersistMode m)
 
     if (persistMode == PersistMode::Fwb) {
         fwbEngine = std::make_unique<persist::FwbEngine>(
-            *memory, eventQueue, cfg.persist);
+            *memory, eventQueue, cfg.persist, partitions);
         fwbEngine->start(0);
     }
 
@@ -164,8 +163,9 @@ System::System(const SystemConfig &config, PersistMode m)
             fwbEngine->setScanHook(
                 [this](Tick now) { scrubber->step(now); });
         } else {
-            scrubber->start(eventQueue,
-                            persist::FwbEngine::derivePeriod(cfg), 0);
+            scrubber->start(
+                eventQueue,
+                persist::FwbEngine::derivePeriod(cfg, partitions), 0);
         }
     }
 

@@ -272,11 +272,12 @@ struct PersistConfig
      * with its own log buffer. Only meaningful for hardware-logging
      * modes; software baselines stay centralized.
      *
-     * Constraint: partitions recover independently, so persistent
-     * data written by transactions must be thread-private (the
-     * paper's one-transaction-stream-per-thread model, Figure 4);
-     * committed writes to shared addresses from different partitions
-     * have no recovery-time order without a global LSN.
+     * Constraint: recovery decides each partition's transactions
+     * within that partition, so persistent data written by
+     * transactions must be thread-private (the paper's
+     * one-transaction-stream-per-thread model, Figure 4); committed
+     * writes to shared addresses from different partitions have no
+     * recovery-time order without a global LSN.
      */
     bool distributedLogs = false;
     /**
@@ -370,14 +371,14 @@ struct AddressMap
     std::uint64_t nvramSize = 8ULL << 30;
     /** Log region lives at the bottom of NVRAM. */
     std::uint64_t logSize = 4ULL << 20;
-    /** Number of log partitions (1 = centralized). */
-    std::uint32_t logPartitions = 1;
     /**
-     * Number of address-interleaved log shards (shardlab); 1 =
-     * centralized. Exclusive with logPartitions > 1: partitions
-     * split the log per core, shards split it per line address.
+     * Number of equal circular log regions the log area is split
+     * into; 1 = centralized. System sets it from the persist config:
+     * one per core for distributed per-thread logs (Section III-F),
+     * one per address-interleaved shard (shardlab). Recovery treats
+     * both splits alike.
      */
-    std::uint32_t logShards = 1;
+    std::uint32_t logRegions = 1;
     /**
      * Bad-line remap table region (lifelab), directly above the log:
      * two CRC-protected banks of mapping entries. 0 (the default)
@@ -402,18 +403,14 @@ struct AddressMap
     Addr logBase() const { return nvramBase; }
 
     /**
-     * Number of independent circular log regions in the log area —
-     * per-core partitions and address-interleaved shards both slice
-     * the same area, and they are mutually exclusive, so the count is
-     * simply the larger of the two (minimum 1). Recovery, the
-     * invariant checkers, and faultlab iterate regions through this.
+     * Number of circular log regions in the log area (minimum 1).
+     * Recovery, the invariant checkers, and faultlab iterate regions
+     * through this.
      */
     std::uint32_t
     logRegionCount() const
     {
-        std::uint32_t n = logPartitions > logShards ? logPartitions
-                                                    : logShards;
-        return n > 0 ? n : 1;
+        return logRegions > 0 ? logRegions : 1;
     }
 
     /** Remap-table region: NVRAM after the log. */

@@ -7,13 +7,14 @@ namespace snf::persist
 {
 
 FwbEngine::FwbEngine(mem::MemorySystem &memory, sim::EventQueue &evq,
-                     const PersistConfig &config)
+                     const PersistConfig &config,
+                     std::uint32_t logPartitions)
     : mem(memory),
       events(evq),
       cfg(config),
       scanPeriod(config.fwbPeriod != 0
                      ? config.fwbPeriod
-                     : derivePeriod(memory.config())),
+                     : derivePeriod(memory.config(), logPartitions)),
       statGroup("fwb"),
       scans(statGroup.counter("scans")),
       flagged(statGroup.counter("flagged")),
@@ -22,13 +23,9 @@ FwbEngine::FwbEngine(mem::MemorySystem &memory, sim::EventQueue &evq,
 }
 
 Tick
-FwbEngine::derivePeriod(const SystemConfig &config)
+FwbEngine::derivePeriod(const SystemConfig &config,
+                        std::uint32_t partitions)
 {
-    // With distributed logs a single hot thread can wrap its own
-    // (smaller) partition at full bandwidth, so derive from the
-    // partition size.
-    std::uint32_t partitions =
-        config.persist.distributedLogs ? config.numCores : 1;
     std::uint64_t slots = (config.persist.logBytes / partitions - 64) /
                           LogRecord::kSlotBytes;
     // Sequential log-entry write service time at full NVRAM write

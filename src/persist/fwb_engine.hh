@@ -23,8 +23,12 @@ namespace snf::persist
 class FwbEngine
 {
   public:
+    /**
+     * @param logPartitions per-core log partitions System split the
+     *        log area into (1 = centralized); paces the derived period.
+     */
     FwbEngine(mem::MemorySystem &memory, sim::EventQueue &events,
-              const PersistConfig &config);
+              const PersistConfig &config, std::uint32_t logPartitions);
 
     /** Begin periodic scanning (first scan after one period). */
     void start(Tick now);
@@ -41,8 +45,13 @@ class FwbEngine
      * and a dirty line needs at most two scans per level across two
      * levels (4 periods) to reach NVRAM, so with a 2x safety margin
      *     period = T_wrap / 8.
+     * With @p partitions per-core partitions (distributed logs) a
+     * single hot thread can wrap its own partition, so T_wrap is that
+     * of one partition. Address-interleaved shards spread every
+     * thread's records over all shards and keep the whole-log period.
      */
-    static Tick derivePeriod(const SystemConfig &config);
+    static Tick derivePeriod(const SystemConfig &config,
+                             std::uint32_t partitions);
 
     /**
      * Crash-tooling probe: emits FwbScan at each pass boundary (the

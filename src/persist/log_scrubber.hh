@@ -74,6 +74,9 @@ class LogScrubber
      */
     void start(sim::EventQueue &events, Tick period, Tick now);
 
+    /** Self-scheduled step period; 0 when riding the FWB cadence. */
+    Tick period() const { return stepPeriod; }
+
     void stop() { running = false; }
 
     /** Current error streak of a 64-byte line (tests). */

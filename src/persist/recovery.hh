@@ -7,8 +7,12 @@
  * committed transactions in log order, roll back uncommitted
  * transactions with undo values in reverse order, quarantine only the
  * committed transactions whose records are damaged or missing, and
- * truncate the log. All recovery writes bypass the (volatile, reset)
- * caches and go directly to the NVRAM image.
+ * truncate the log. One pass serves every split of the log area — a
+ * centralized log, per-core partitions (Section III-F) and
+ * address-interleaved shards are all N circular regions scanned the
+ * same way, with commit decisions joined across regions. All recovery
+ * writes bypass the (volatile, reset) caches and go directly to the
+ * NVRAM image.
  */
 
 #ifndef SNF_PERSIST_RECOVERY_HH
@@ -65,7 +69,7 @@ struct RecoveryOptions
      * Promote the lines of damaged (torn / CRC-fail) log slots into
      * the image's persistent remap table before truncation, so the
      * next generation's log traffic avoids them. Needs a remap region
-     * in the address map (Recovery::run only).
+     * in the address map; a no-op without one.
      */
     bool promoteBadLines = false;
     /** Emits one RecoveryWrite event per line write when set. */
@@ -73,11 +77,12 @@ struct RecoveryOptions
 };
 
 /**
- * Per-shard outcome of a merged (AddressMap::logShards > 1) recovery
- * pass. A shard whose header is unreadable is dead: its records are
- * lost and recovery degrades — surviving shards are salvaged while
- * every transaction whose participation mask intersects the dead
- * shard is rolled back on the shards that still hold its records.
+ * Per-region outcome of a recovery pass over more than one log region
+ * (shards or per-core partitions). A region whose header is
+ * unreadable is dead: its records are lost and recovery degrades —
+ * surviving regions are salvaged while every transaction whose
+ * participation mask intersects the dead region is rolled back on the
+ * regions that still hold its records.
  */
 struct ShardSummary
 {
@@ -144,10 +149,11 @@ struct RecoveryReport
     /** Lines written by this pass (only with opts.collectWrites). */
     std::vector<Addr> touchedLines;
 
-    // --- shardlab (merged multi-shard recovery only) ---
-    /** Per-shard salvage summary; empty unless logShards > 1. */
+    // --- shardlab (more than one log region) ---
+    /** Per-region salvage summary; empty unless the log area has more
+     *  than one region. */
     std::vector<ShardSummary> shards;
-    /** Transactions aborted because of a dead shard: committed ones
+    /** Transactions aborted because of a dead region: committed ones
      *  whose participation mask intersects it (rolled back on the
      *  surviving shards), plus prepared ones whose commit record may
      *  have been lost with it. */
@@ -198,7 +204,8 @@ class Recovery
     /**
      * Recover the NVRAM image in place.
      * @param image   the (crash-snapshot) NVRAM backing store
-     * @param map     the system's address map (log location)
+     * @param map     the system's address map (log location and
+     *                region count)
      * @param truncateLog clear the log window after replay (default),
      *        matching the paper's Step 4; disable to test idempotence
      *        of the replay itself.
@@ -211,18 +218,6 @@ class Recovery
     static RecoveryReport run(mem::BackingStore &image,
                               const AddressMap &map,
                               const RecoveryOptions &opts);
-
-    /** Recover one log region at [logBase, logBase+logSize). */
-    static RecoveryReport recoverRegion(mem::BackingStore &image,
-                                        Addr logBase,
-                                        std::uint64_t logSize,
-                                        bool truncateLog = true);
-
-    /** As above with full options. */
-    static RecoveryReport recoverRegion(mem::BackingStore &image,
-                                        Addr logBase,
-                                        std::uint64_t logSize,
-                                        const RecoveryOptions &opts);
 };
 
 } // namespace snf::persist

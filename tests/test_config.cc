@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/system.hh"
 #include "core/system_config.hh"
 #include "energy/energy_model.hh"
 #include "mem/memory_system.hh"
@@ -104,12 +105,51 @@ TEST(FwbEngine, PeriodScalesLinearlyWithLogSize)
     SystemConfig c = SystemConfig::scaled();
     c.persist.logBytes = 256 * 1024;
     c.map.logSize = c.persist.logBytes;
-    Tick p1 = persist::FwbEngine::derivePeriod(c);
+    Tick p1 = persist::FwbEngine::derivePeriod(c, 1);
     c.persist.logBytes = 1024 * 1024;
     c.map.logSize = c.persist.logBytes;
-    Tick p4 = persist::FwbEngine::derivePeriod(c);
+    Tick p4 = persist::FwbEngine::derivePeriod(c, 1);
     EXPECT_NEAR(static_cast<double>(p4) / static_cast<double>(p1),
                 4.0, 0.1);
+}
+
+TEST(FwbEngine, PeriodPacesPerCorePartitionsNotShards)
+{
+    // A hot thread can wrap its own per-core partition at full
+    // bandwidth; address-interleaved shards spread every thread over
+    // all shards, so they keep the whole-log period.
+    SystemConfig c = SystemConfig::scaled(4);
+    System central(c, PersistMode::Fwb);
+    c.persist.logShards = 4;
+    System sharded(c, PersistMode::Fwb);
+    c.persist.logShards = 1;
+    c.persist.distributedLogs = true;
+    System partitioned(c, PersistMode::Fwb);
+    EXPECT_EQ(central.fwb()->period(),
+              persist::FwbEngine::derivePeriod(c, 1));
+    EXPECT_EQ(sharded.fwb()->period(), central.fwb()->period());
+    EXPECT_EQ(partitioned.fwb()->period(),
+              persist::FwbEngine::derivePeriod(c, 4));
+    EXPECT_LT(partitioned.fwb()->period(), central.fwb()->period());
+}
+
+TEST(FwbEngine, ScrubPeriodFollowsTheLogsSystemCreated)
+{
+    // Software logging keeps one centralized log even with
+    // distributedLogs set, so the self-scheduled scrubber must be
+    // paced for that one log, not for numCores partitions that do
+    // not exist.
+    SystemConfig c = SystemConfig::scaled(4);
+    c.persist.scrub = true;
+    System central(c, PersistMode::UndoClwb);
+    c.persist.distributedLogs = true;
+    System distributed(c, PersistMode::UndoClwb);
+    ASSERT_NE(central.scrub(), nullptr);
+    ASSERT_NE(distributed.scrub(), nullptr);
+    EXPECT_EQ(distributed.logPartitionCount(), 1u);
+    EXPECT_EQ(central.scrub()->period(),
+              persist::FwbEngine::derivePeriod(c, 1));
+    EXPECT_EQ(distributed.scrub()->period(), central.scrub()->period());
 }
 
 TEST(EnergyModel, SumsDeviceAndCoreEnergy)

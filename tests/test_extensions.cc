@@ -10,6 +10,9 @@
 #include <cmath>
 
 #include "core/system.hh"
+#include "crashlab/lifecycle.hh"
+#include "persist/log_record.hh"
+#include "persist/log_region.hh"
 #include "persist/recovery.hh"
 #include "workloads/driver.hh"
 
@@ -45,7 +48,7 @@ TEST(DistributedLogs, OnePartitionPerCore)
 {
     System sys(distCfg(4), PersistMode::Fwb);
     EXPECT_EQ(sys.logPartitionCount(), 4u);
-    EXPECT_EQ(sys.config().map.logPartitions, 4u);
+    EXPECT_EQ(sys.config().map.logRegionCount(), 4u);
 }
 
 TEST(DistributedLogs, CentralizedByDefault)
@@ -135,6 +138,53 @@ TEST(DistributedLogs, CrashRecoveryUnderDistributedFwb)
         EXPECT_TRUE(outcome.verified)
             << wl << ": " << outcome.verifyMessage;
     }
+}
+
+TEST(DistributedLogs, RecoveryReentrantAcrossPartitions)
+{
+    // Partitions share the merged truncation rule: every partition's
+    // replay precedes every truncation flag, so an interrupted pass
+    // that left any flag raised only has to finish zeroing. Interrupt
+    // recovery of a 4-partition crash image at every interior write
+    // and require the resumed pass to match the uninterrupted one.
+    SystemConfig cfg = distCfg(4, /*journal=*/true);
+    // 16 KB partitions keep the truncation (and so the number of
+    // interrupt points) small.
+    cfg.persist.logBytes = 64 * 1024;
+    cfg.map.logSize = cfg.persist.logBytes;
+    System sys(cfg, PersistMode::Fwb);
+    auto workload = makeWorkload("hash");
+    WorkloadParams params;
+    params.threads = 4;
+    params.txPerThread = 600;
+    params.footprint = 256;
+    workload->setup(sys, params);
+    for (CoreId c = 0; c < params.threads; ++c) {
+        sys.spawn(c, [&](Thread &t) {
+            return workload->thread(sys, t, params);
+        });
+    }
+    const Tick crashAt = 70000;
+    ASSERT_GE(sys.run(crashAt), crashAt);
+    mem::BackingStore image = sys.crashSnapshot(crashAt);
+    const AddressMap &map = sys.config().map;
+    ASSERT_EQ(map.logRegionCount(), 4u);
+
+    std::uint64_t part_bytes = map.logSize / 4;
+    for (std::uint32_t p = 0; p < 4; ++p) {
+        std::uint8_t slot[persist::LogRecord::kSlotBytes];
+        image.read(map.logBase() + p * part_bytes +
+                       persist::LogRegion::kHeaderBytes,
+                   sizeof(slot), slot);
+        EXPECT_EQ(persist::classifySlot(slot).cls,
+                  persist::SlotClass::Valid)
+            << "partition " << p << " holds no records";
+    }
+
+    std::vector<crashlab::Violation> v = crashlab::checkRecoveryReentrancy(
+        image, map, persist::RecoveryOptions{}, 1);
+    for (const crashlab::Violation &viol : v)
+        ADD_FAILURE() << viol.invariant << ": " << viol.detail;
 }
 
 TEST(DistributedLogs, NoThreadIdNeededPerRecord)

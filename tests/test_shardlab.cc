@@ -263,7 +263,7 @@ class ShardImage
         AddressMap m;
         m.nvramSize = 1 << 22;
         m.logSize = 8192;
-        m.logShards = shards;
+        m.logRegions = shards;
         return m;
     }
 

@@ -655,7 +655,7 @@ struct ShardedFixture
         AddressMap m;
         m.nvramSize = 1 << 22;
         m.logSize = 8192;
-        m.logShards = shards;
+        m.logRegions = shards;
         return m;
     }
 
@@ -665,7 +665,7 @@ struct ShardedFixture
     {
         for (std::uint64_t k = 0;; ++k) {
             Addr a = map.heapBase() + k * 64;
-            if ((a >> 6) % map.logShards == s)
+            if ((a >> 6) % map.logRegions == s)
                 return a;
         }
     }

@@ -251,12 +251,12 @@ main(int argc, char **argv)
         } else if (const char *v = arg("--seed")) {
             seeds.clear();
             for (const auto &s : splitCsv(v))
-                seeds.push_back(std::strtoull(s.c_str(), nullptr, 0));
+                seeds.push_back(parseCountFlag("--seed", s.c_str()));
         } else if (const char *v = arg("--threads")) {
-            params.threads =
-                static_cast<std::uint32_t>(std::atoi(v));
+            params.threads = static_cast<std::uint32_t>(
+                parsePositiveCountFlag("--threads", v));
         } else if (const char *v = arg("--tx")) {
-            params.txPerThread = std::strtoull(v, nullptr, 0);
+            params.txPerThread = parsePositiveCountFlag("--tx", v);
         } else if (const char *v = arg("--footprint")) {
             // Strict and positive: the old strtoull turned a typo'd
             // value into 0, which every workload silently replaced
@@ -298,9 +298,10 @@ main(int argc, char **argv)
             base.maxPoints = static_cast<std::size_t>(
                 parseCountFlag("--max-points", v));
         } else if (const char *v = arg("--sample-seed")) {
-            base.sampleSeed = std::strtoull(v, nullptr, 0);
+            base.sampleSeed = parseCountFlag("--sample-seed", v);
         } else if (const char *v = arg("--sweep-recovery")) {
-            base.recoverySweepStride = std::strtoull(v, nullptr, 0);
+            base.recoverySweepStride =
+                parseCountFlag("--sweep-recovery", v);
         } else if (args[i] == "--reorder") {
             base.reorder.enabled = true;
         } else if (const char *v = arg("--reorder-samples")) {

@@ -166,26 +166,28 @@ main(int argc, char **argv)
         } else if (const char *v = arg("--bench-json")) {
             benchJsonPath = v;
         } else if (const char *v = arg("--threads")) {
-            threads = static_cast<std::uint32_t>(std::atoi(v));
+            threads = static_cast<std::uint32_t>(
+                parsePositiveCountFlag("--threads", v));
         } else if (const char *v = arg("--tx")) {
             cfg.run.params.txPerThread =
-                std::strtoull(v, nullptr, 0);
+                parsePositiveCountFlag("--tx", v);
         } else if (const char *v = arg("--footprint")) {
             // Strict and positive (see snfsim): a typo'd value used
             // to silently become the workload's default size.
             cfg.run.params.footprint =
                 parsePositiveCountFlag("--footprint", v);
         } else if (const char *v = arg("--seed")) {
-            cfg.run.params.seed = std::strtoull(v, nullptr, 0);
+            cfg.run.params.seed = parseCountFlag("--seed", v);
             cfg.seed = cfg.run.params.seed;
         } else if (const char *v = arg("--generations")) {
-            cfg.generations =
-                static_cast<std::uint32_t>(std::atoi(v));
+            cfg.generations = static_cast<std::uint32_t>(
+                parsePositiveCountFlag("--generations", v));
         } else if (const char *v = arg("--sabotage-remap")) {
-            cfg.sabotageGeneration =
-                static_cast<std::uint32_t>(std::atoi(v));
+            cfg.sabotageGeneration = static_cast<std::uint32_t>(
+                parseCountFlag("--sabotage-remap", v));
         } else if (const char *v = arg("--reentrancy-budgets")) {
-            cfg.reentrancyBudgets = std::strtoull(v, nullptr, 0);
+            cfg.reentrancyBudgets =
+                parseCountFlag("--reentrancy-budgets", v);
         } else if (args[i] == "--no-reentrancy") {
             cfg.checkReentrancy = false;
         } else if (args[i] == "--no-scrub") {
