@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <cstring>
 
 #include "sim/logging.hh"
 
@@ -11,9 +12,11 @@ namespace snf
 std::uint64_t
 parseCountFlag(const char *flag, const char *value)
 {
+    // strtoull accepts a sign and wraps "-1" to 2^64-1; a count has
+    // no sign, so that is garbage too.
     char *end = nullptr;
     std::uint64_t n = std::strtoull(value, &end, 0);
-    if (end == value || *end != '\0')
+    if (end == value || *end != '\0' || std::strchr(value, '-'))
         fatal("%s needs a number, got '%s'", flag, value);
     return n;
 }
@@ -37,16 +40,37 @@ parsePositiveCountFlag(const char *flag, const char *value)
     return n;
 }
 
+namespace
+{
+
 double
-parseOpenUnitFlag(const char *flag, const char *value)
+parseRealFlag(const char *flag, const char *value)
 {
     char *end = nullptr;
     double x = std::strtod(value, &end);
     if (end == value || *end != '\0')
         fatal("%s needs a number, got '%s'", flag, value);
+    return x;
+}
+
+} // namespace
+
+double
+parseOpenUnitFlag(const char *flag, const char *value)
+{
+    double x = parseRealFlag(flag, value);
     if (!(x > 0.0 && x < 1.0))
         fatal("%s needs a value strictly inside (0,1), got '%s'",
               flag, value);
+    return x;
+}
+
+double
+parseUnitFlag(const char *flag, const char *value)
+{
+    double x = parseRealFlag(flag, value);
+    if (!(x >= 0.0 && x <= 1.0))
+        fatal("%s needs a probability in [0,1], got '%s'", flag, value);
     return x;
 }
 

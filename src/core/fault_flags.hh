@@ -23,8 +23,8 @@ namespace snf
 
 /**
  * Strict unsigned flag-value parse shared by the tools: the whole
- * value must be a number (base prefix allowed); empty values and
- * trailing garbage are fatal with a diagnostic naming the flag.
+ * value must be a number (base prefix allowed); empty values, signs
+ * and trailing garbage are fatal with a diagnostic naming the flag.
  */
 std::uint64_t parseCountFlag(const char *flag, const char *value);
 
@@ -51,6 +51,13 @@ std::uint64_t parsePositiveCountFlag(const char *flag,
  * otherwise.
  */
 double parseOpenUnitFlag(const char *flag, const char *value);
+
+/**
+ * Strict real value in the closed unit interval [0, 1] —
+ * probabilities such as conflict and load rates. The whole value
+ * must parse; fatal() with a diagnostic naming the flag otherwise.
+ */
+double parseUnitFlag(const char *flag, const char *value);
 
 /** Outcome of FaultFlagSet::consume() for one argv position. */
 enum class FlagParse

@@ -177,21 +177,6 @@ BackingStore::pagePtr(std::uint64_t pageIdx) const
     return it == pages.end() ? nullptr : it->second.get();
 }
 
-std::uint8_t *
-BackingStore::pagePtrMut(std::uint64_t pageIdx)
-{
-    PageRef &ref = pages[pageIdx];
-    if (!ref) {
-        ref = std::make_shared<Page>(); // value-initialized: zeroed
-    } else if (ref.use_count() > 1) {
-        // Shared with a snapshot, checkpoint, or sibling image:
-        // clone before the first write diverges us from them.
-        ref = std::make_shared<Page>(*ref);
-        statCloned.fetch_add(1, std::memory_order_relaxed);
-    }
-    return ref->bytes;
-}
-
 void
 BackingStore::read(Addr addr, std::uint64_t size, void *out) const
 {
@@ -239,18 +224,34 @@ BackingStore::rawWrite(Addr addr, std::uint64_t size, const void *in)
         std::uint64_t page = off / kPageBytes;
         std::uint64_t in_page = off % kPageBytes;
         std::uint64_t n = std::min(size, kPageBytes - in_page);
-        // Writing zeros to a page never written leaves the byte image
-        // unchanged (absent pages read as zero): skip the allocation
-        // so bulk zeroing (log truncation) keeps the store sparse and
-        // later sparse scans can skip the pages outright.
-        if (pagePtr(page) == nullptr &&
-            std::memcmp(src, kZeroPage.bytes, n) == 0) {
-            src += n;
-            off += n;
-            size -= n;
-            continue;
+        auto it = pages.find(page);
+        if (it == pages.end()) {
+            // Writing zeros to a page never written leaves the byte
+            // image unchanged (absent pages read as zero): skip the
+            // allocation so bulk zeroing (log truncation) keeps the
+            // store sparse and later sparse scans can skip the pages
+            // outright.
+            if (std::memcmp(src, kZeroPage.bytes, n) != 0) {
+                auto fresh = std::make_shared<Page>(); // zeroed
+                std::memcpy(fresh->bytes + in_page, src, n);
+                pages.emplace(page, std::move(fresh));
+            }
+        } else {
+            PageRef &ref = it->second;
+            if (ref.use_count() > 1) {
+                // Shared with a snapshot, checkpoint, or sibling
+                // image. A write that leaves the bytes as they are
+                // (recovery replaying a value already in place) keeps
+                // the page shared; otherwise clone before diverging.
+                if (std::memcmp(ref->bytes + in_page, src, n) != 0) {
+                    ref = std::make_shared<Page>(*ref);
+                    statCloned.fetch_add(1, std::memory_order_relaxed);
+                    std::memcpy(ref->bytes + in_page, src, n);
+                }
+            } else {
+                std::memcpy(ref->bytes + in_page, src, n);
+            }
         }
-        std::memcpy(pagePtrMut(page) + in_page, src, n);
         src += n;
         off += n;
         size -= n;
@@ -547,17 +548,23 @@ BackingStore::firstDifference(const BackingStore &other, Addr from,
         const Page *b = other.pagePtr(p);
         if (a == b) // both absent, or one COW-shared page
             continue;
-        const std::uint8_t *pa = a ? a->bytes : kZeroPage.bytes;
-        const std::uint8_t *pb = b ? b->bytes : kZeroPage.bytes;
         std::uint64_t lo = std::max<std::uint64_t>(
             p * kPageBytes, from - rangeBase);
         std::uint64_t hi =
             std::min<std::uint64_t>((p + 1) * kPageBytes, last_off);
-        for (std::uint64_t off = lo; off < hi; ++off) {
-            std::uint64_t in_page = off % kPageBytes;
-            if (pa[in_page] != pb[in_page])
-                return rangeBase + off;
-        }
+        const std::uint64_t in_page = lo - p * kPageBytes;
+        const std::uint8_t *pa =
+            (a ? a->bytes : kZeroPage.bytes) + in_page;
+        const std::uint8_t *pb =
+            (b ? b->bytes : kZeroPage.bytes) + in_page;
+        // Distinct pages often still hold equal bytes (a resident
+        // all-zero page against an absent one, or a clone whose change
+        // a later write undid): settle that with one memcmp and only
+        // walk the bytes of a page known to differ.
+        if (std::memcmp(pa, pb, hi - lo) == 0)
+            continue;
+        const std::uint8_t *at = std::mismatch(pa, pa + (hi - lo), pb).first;
+        return rangeBase + lo + static_cast<std::uint64_t>(at - pa);
     }
     return std::nullopt;
 }

@@ -126,7 +126,11 @@ class BackingStore
     /** Journal entries replayed by snapshots/cursors so far. */
     std::uint64_t entriesReplayed() const { return statReplayed; }
 
-    /** Pages cloned by copy-on-write so far. */
+    /**
+     * Pages cloned by copy-on-write so far. A write that leaves a
+     * shared page's bytes as they are keeps it shared and clones
+     * nothing.
+     */
     std::uint64_t pagesCloned() const { return statCloned; }
 
     /**
@@ -293,7 +297,6 @@ class BackingStore
     };
 
     const Page *pagePtr(std::uint64_t pageIdx) const;
-    std::uint8_t *pagePtrMut(std::uint64_t pageIdx);
 
     void rawWrite(Addr addr, std::uint64_t size, const void *in);
 

@@ -116,22 +116,41 @@ LogRecord::payloadBytes() const
 std::uint32_t
 LogRecord::crc32(const std::uint8_t *data, std::uint32_t n)
 {
-    // Table-driven, same polynomial (and therefore same values) as
-    // the original bitwise loop. The recovery scan CRCs every written
-    // log slot, which puts this on the crash sweep's critical path.
-    static const std::array<std::uint32_t, 256> table = [] {
-        std::array<std::uint32_t, 256> t{};
+    // Slicing-by-8 over the reflected 0xEDB88320 polynomial: the same
+    // values as the bitwise definition, eight bytes per step. t[0] is
+    // the classic byte table; t[k][b] is the CRC of byte b followed
+    // by k zero bytes. The recovery scan CRCs every written log slot,
+    // which puts this on the crash sweep's critical path.
+    using Table = std::array<std::uint32_t, 256>;
+    static const std::array<Table, 8> t = [] {
+        std::array<Table, 8> tab{};
         for (std::uint32_t i = 0; i < 256; ++i) {
             std::uint32_t c = i;
             for (int b = 0; b < 8; ++b)
                 c = (c >> 1) ^ (0xedb88320u & (~(c & 1) + 1));
-            t[i] = c;
+            tab[0][i] = c;
         }
-        return t;
+        for (std::uint32_t i = 0; i < 256; ++i)
+            for (std::size_t k = 1; k < 8; ++k)
+                tab[k][i] = (tab[k - 1][i] >> 8) ^
+                            tab[0][tab[k - 1][i] & 0xffu];
+        return tab;
     }();
+    auto le32 = [](const std::uint8_t *p) {
+        return std::uint32_t{p[0]} | std::uint32_t{p[1]} << 8 |
+               std::uint32_t{p[2]} << 16 | std::uint32_t{p[3]} << 24;
+    };
     std::uint32_t crc = 0xffffffffu;
-    for (std::uint32_t i = 0; i < n; ++i)
-        crc = (crc >> 8) ^ table[(crc ^ data[i]) & 0xffu];
+    for (; n >= 8; data += 8, n -= 8) {
+        const std::uint32_t lo = le32(data) ^ crc;
+        const std::uint32_t hi = le32(data + 4);
+        crc = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
+              t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^
+              t[3][hi & 0xffu] ^ t[2][(hi >> 8) & 0xffu] ^
+              t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+    }
+    for (; n > 0; ++data, --n)
+        crc = (crc >> 8) ^ t[0][(crc ^ *data) & 0xffu];
     return ~crc;
 }
 

@@ -141,3 +141,88 @@ TEST(BackingStore, FirstDifferenceFindsLowestMismatch)
     ASSERT_TRUE(d2.has_value());
     EXPECT_EQ(*d2, 65536u);
 }
+
+TEST(BackingStore, IdenticalWriteKeepsCowPageShared)
+{
+    const Addr base = 0x1000;
+    BackingStore a(base, 1 << 20);
+    std::uint8_t line[64];
+    for (std::size_t i = 0; i < sizeof(line); ++i)
+        line[i] = static_cast<std::uint8_t>(i + 1);
+    a.write(base + 128, sizeof(line), line);
+
+    BackingStore b = a; // siblings share every page
+    std::uint64_t availA = 0, availB = 0;
+    const std::uint8_t *pa = a.pageAt(base + 128, &availA);
+    ASSERT_NE(pa, nullptr);
+    ASSERT_EQ(b.pageAt(base + 128, &availB), pa);
+
+    // Rewriting the bytes already there clones nothing and keeps the
+    // page shared with the sibling.
+    const std::uint64_t cloned = b.pagesCloned();
+    b.write(base + 128, sizeof(line), line);
+    b.write(base + 128 + 8, 8, line + 8);
+    EXPECT_EQ(b.pagesCloned(), cloned);
+    EXPECT_EQ(b.pageAt(base + 128, &availB), pa);
+    EXPECT_FALSE(a.firstDifference(b, base, 1 << 20).has_value());
+
+    // A write that changes one byte clones the page, once.
+    std::uint8_t x = 0xee;
+    b.write(base + 130, 1, &x);
+    EXPECT_EQ(b.pagesCloned(), cloned + 1);
+    EXPECT_NE(b.pageAt(base + 128, &availB), pa);
+    std::uint8_t got = 0;
+    a.read(base + 130, 1, &got);
+    EXPECT_EQ(got, 3); // the sibling keeps its bytes
+    b.read(base + 130, 1, &got);
+    EXPECT_EQ(got, 0xee);
+    b.write(base + 131, 1, &x);
+    EXPECT_EQ(b.pagesCloned(), cloned + 1); // unique now: in place
+}
+
+TEST(BackingStore, FirstDifferenceReportsExactByteInSharedSiblings)
+{
+    const Addr base = 0x1000;
+    const std::uint64_t page = 4096;
+    BackingStore a(base, 1 << 20);
+    for (std::uint64_t p = 0; p < 4; ++p)
+        a.write64(base + p * page + 64, 0x1111 * (p + 1));
+    BackingStore b = a;
+
+    // Last byte of page 2.
+    std::uint8_t x = 0x5a;
+    b.write(base + 2 * page + 4095, 1, &x);
+    auto d = a.firstDifference(b, base, 1 << 20);
+    ASSERT_TRUE(d.has_value());
+    EXPECT_EQ(*d, base + 2 * page + 4095);
+    EXPECT_EQ(b.firstDifference(a, base, 1 << 20), d);
+
+    // A partial range [from, from + size) inside page 1: a byte just
+    // inside either end is found, one just outside is not.
+    BackingStore c = a;
+    const Addr from = base + page + 1000;
+    const std::uint64_t size = 500;
+    c.write(from + size, 1, &x);
+    EXPECT_FALSE(a.firstDifference(c, from, size).has_value());
+    c.write(from + size - 1, 1, &x);
+    EXPECT_EQ(a.firstDifference(c, from, size), from + size - 1);
+    c.write(from, 1, &x);
+    EXPECT_EQ(a.firstDifference(c, from, size), from);
+    EXPECT_FALSE(a.firstDifference(c, from + 1, size - 2).has_value());
+}
+
+TEST(BackingStore, ResidentZeroPageEqualsAbsentPage)
+{
+    BackingStore a(0, 1 << 20);
+    BackingStore b(0, 1 << 20);
+    // Zeros into an absent page allocate nothing.
+    a.write64(3 * 4096 + 8, 0);
+    std::uint64_t avail = 0;
+    EXPECT_EQ(a.pageAt(3 * 4096, &avail), nullptr);
+    // A page written and then zeroed stays resident, all zero.
+    a.write64(3 * 4096 + 8, 42);
+    a.write64(3 * 4096 + 8, 0);
+    ASSERT_NE(a.pageAt(3 * 4096, &avail), nullptr);
+    EXPECT_FALSE(a.firstDifference(b, 0, 1 << 20).has_value());
+    EXPECT_FALSE(b.firstDifference(a, 0, 1 << 20).has_value());
+}

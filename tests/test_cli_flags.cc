@@ -193,6 +193,10 @@ TEST(CountFlagDeathTest, RejectsGarbageWithDiagnostic)
     EXPECT_EXIT(parseCountFlag("--jobs", "four"),
                 ::testing::ExitedWithCode(1),
                 "--jobs needs a number, got 'four'");
+    // strtoull would wrap this to 2^64-1.
+    EXPECT_EXIT(parseCountFlag("--jobs", "-1"),
+                ::testing::ExitedWithCode(1),
+                "--jobs needs a number, got '-1'");
 }
 
 TEST(LogShardsFlag, AcceptsTheFullMaskRange)
@@ -273,4 +277,33 @@ TEST(OpenUnitFlagDeathTest, RejectsBoundsAndGarbage)
     EXPECT_EXIT(parseOpenUnitFlag("--zipf-theta", ""),
                 ::testing::ExitedWithCode(1),
                 "--zipf-theta needs a number");
+}
+
+TEST(UnitFlag, AcceptsTheClosedInterval)
+{
+    EXPECT_DOUBLE_EQ(parseUnitFlag("--conflict-rate", "0"), 0.0);
+    EXPECT_DOUBLE_EQ(parseUnitFlag("--conflict-rate", "1"), 1.0);
+    EXPECT_DOUBLE_EQ(parseUnitFlag("--load-rate", "0.25"), 0.25);
+    EXPECT_DOUBLE_EQ(parseUnitFlag("--load-rate", "1e-1"), 0.1);
+}
+
+TEST(UnitFlagDeathTest, RejectsOutOfRangeAndGarbage)
+{
+    // atof read "0.5x" as 0.5 and "abc" as 0; both are now errors.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(parseUnitFlag("--conflict-rate", "1.5"),
+                ::testing::ExitedWithCode(1),
+                "--conflict-rate needs a probability in \\[0,1\\]");
+    EXPECT_EXIT(parseUnitFlag("--conflict-rate", "-0.1"),
+                ::testing::ExitedWithCode(1),
+                "--conflict-rate needs a probability in \\[0,1\\]");
+    EXPECT_EXIT(parseUnitFlag("--load-rate", "nan"),
+                ::testing::ExitedWithCode(1),
+                "--load-rate needs a probability in \\[0,1\\]");
+    EXPECT_EXIT(parseUnitFlag("--load-rate", "0.5x"),
+                ::testing::ExitedWithCode(1),
+                "--load-rate needs a number, got '0.5x'");
+    EXPECT_EXIT(parseUnitFlag("--conflict-rate", ""),
+                ::testing::ExitedWithCode(1),
+                "--conflict-rate needs a number");
 }

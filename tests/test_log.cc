@@ -14,6 +14,7 @@
 #include "persist/log_buffer.hh"
 #include "persist/log_record.hh"
 #include "persist/log_region.hh"
+#include "sim/rng.hh"
 
 using namespace snf;
 using namespace snf::persist;
@@ -137,6 +138,47 @@ TEST_P(LogRecordSizes, SizeFieldRoundTrips)
 
 INSTANTIATE_TEST_SUITE_P(AllSizes, LogRecordSizes,
                          ::testing::Values(1, 2, 4, 8));
+
+namespace
+{
+
+/** The CRC32 definition, one bit at a time (reflected 0xEDB88320). */
+std::uint32_t
+bitwiseCrc32(const std::uint8_t *data, std::uint32_t n)
+{
+    std::uint32_t crc = 0xffffffffu;
+    for (std::uint32_t i = 0; i < n; ++i) {
+        crc ^= data[i];
+        for (int b = 0; b < 8; ++b)
+            crc = (crc & 1) ? (crc >> 1) ^ 0xedb88320u : crc >> 1;
+    }
+    return ~crc;
+}
+
+} // namespace
+
+TEST(LogRecord, Crc32MatchesBitwiseDefinition)
+{
+    const char check[] = "123456789";
+    EXPECT_EQ(LogRecord::crc32(
+                  reinterpret_cast<const std::uint8_t *>(check), 9),
+              0xCBF43926u);
+
+    // Every length a slot payload can take (and more), from every
+    // start alignment, over seeded random bytes.
+    sim::Rng rng(0xc3c32);
+    std::uint8_t buf[32 + 8];
+    for (int round = 0; round < 16; ++round) {
+        for (auto &b : buf)
+            b = static_cast<std::uint8_t>(rng.next());
+        for (std::uint32_t off = 0; off < 8; ++off)
+            for (std::uint32_t n = 0; n <= 32; ++n)
+                ASSERT_EQ(LogRecord::crc32(buf + off, n),
+                          bitwiseCrc32(buf + off, n))
+                    << "round " << round << " offset " << off
+                    << " length " << n;
+    }
+}
 
 // ----------------------------- region ---------------------------
 

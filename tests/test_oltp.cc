@@ -127,7 +127,18 @@ INSTANTIATE_TEST_SUITE_P(
 // produce a failure with a diagnostic.
 // ------------------------------------------------------------------
 
-TEST(TpccOracleTeeth, CorruptedImageIsRejected)
+namespace
+{
+
+/** A clean, verified TPC-C image (fwb, 2PL, two warehouses). */
+struct TpccImage
+{
+    mem::BackingStore store;
+    TpccLayout lay;
+};
+
+TpccImage
+verifiedTpccImage()
 {
     WorkloadParams params;
     params.threads = 2;
@@ -149,18 +160,153 @@ TEST(TpccOracleTeeth, CorruptedImageIsRejected)
     sys.flushAll(end);
 
     std::string why;
-    ASSERT_TRUE(eng.verify(sys.mem().nvram().store(), &why)) << why;
+    EXPECT_TRUE(eng.verify(sys.mem().nvram().store(), &why)) << why;
+    return TpccImage{sys.mem().nvram().store(), eng.layout()};
+}
+
+/** First address of the page after the one holding @p addr. */
+Addr
+pageEnd(const mem::BackingStore &store, Addr addr)
+{
+    std::uint64_t avail = 0;
+    store.pageAt(addr, &avail);
+    return addr + avail;
+}
+
+/** @p store without the page holding @p addr (it reads as zero). */
+mem::BackingStore
+withoutPage(const mem::BackingStore &store, Addr addr)
+{
+    mem::BackingStore out(store.base(), store.size());
+    const Addr drop = pageEnd(store, addr);
+    for (Addr a = store.base(); a < store.base() + store.size();) {
+        std::uint64_t avail = 0;
+        const std::uint8_t *bytes = store.pageAt(a, &avail);
+        if (bytes && a + avail != drop)
+            out.write(a, avail, bytes);
+        a += avail;
+    }
+    return out;
+}
+
+std::string
+num(std::uint64_t v)
+{
+    return std::to_string(v);
+}
+
+} // namespace
+
+TEST(TpccOracleTeeth, CorruptedImageIsRejected)
+{
+    TpccImage img = verifiedTpccImage();
 
     // Book one phantom dollar into warehouse 0: w_ytd no longer
     // equals the sum of its districts' d_ytd.
-    const TpccLayout &lay = eng.layout();
-    Addr wytd = lay.warehouseAddr(0);
-    std::uint64_t v = sys.mem().nvram().store().read64(wytd) + 1;
-    sys.mem().nvram().functionalWrite(wytd, 8, &v);
+    Addr wytd = img.lay.warehouseAddr(0);
+    img.store.write64(wytd, img.store.read64(wytd) + 1);
 
-    EXPECT_FALSE(checkTpccConsistency(sys.mem().nvram().store(), lay,
-                                      &why));
+    std::string why;
+    EXPECT_FALSE(checkTpccConsistency(img.store, img.lay, &why));
     EXPECT_NE(why.find("w_ytd"), std::string::npos) << why;
+}
+
+// The oracle reads the image page by page; corruption right at a page
+// edge, on a page the reader reaches by crossing a boundary mid-order,
+// and on a page that is absent altogether is judged exactly as before.
+
+TEST(TpccOracleTeeth, PageEdgeCorruptionIsRejected)
+{
+    const TpccImage clean = verifiedTpccImage();
+    const TpccLayout &lay = clean.lay;
+    std::string why;
+
+    // The last stock row on a page: bump its s_remote_cnt, the last
+    // word of the row the oracle reads.
+    {
+        std::uint64_t i = 0;
+        while (i < lay.items &&
+               pageEnd(clean.store, lay.stockAddr(1, i)) !=
+                   lay.stockAddr(1, i) + TpccLayout::kRowBytes)
+            ++i;
+        ASSERT_LT(i, lay.items);
+        const Addr stock = lay.stockAddr(1, i);
+        const std::uint64_t ytd = clean.store.read64(stock + 8);
+        const std::uint64_t cnt = clean.store.read64(stock + 16);
+        const std::uint64_t rem = clean.store.read64(stock + 24);
+        mem::BackingStore bad = clean.store;
+        bad.write64(stock + 24, rem + 1);
+        EXPECT_FALSE(checkTpccConsistency(bad, lay, &why));
+        EXPECT_EQ(why, "stock (1," + num(i) + "): cnt/ytd/remote " +
+                           num(cnt) + "/" + num(ytd) + "/" +
+                           num(rem + 1) + " != recomputed " + num(cnt) +
+                           "/" + num(ytd) + "/" + num(rem));
+    }
+
+    // A committed order whose header and lines straddle a page
+    // boundary: overcharge the first line on the following page.
+    {
+        bool found = false;
+        for (std::uint64_t w = 0; w < lay.warehouses && !found; ++w)
+            for (std::uint64_t d = 0; d < lay.districts && !found; ++d) {
+                const std::uint64_t next =
+                    clean.store.read64(lay.districtAddr(w, d));
+                for (std::uint64_t o = 0; o < next && !found; ++o) {
+                    const Addr order = lay.orderAddr(w, d, o);
+                    const Addr edge = pageEnd(clean.store, order);
+                    const std::uint64_t nlines =
+                        clean.store.read64(order + 16);
+                    for (std::uint64_t l = 0; l < nlines; ++l) {
+                        const Addr line =
+                            order + TpccLayout::kOrderHeaderBytes +
+                            l * TpccLayout::kOrderLineBytes;
+                        if (line < edge)
+                            continue;
+                        const std::uint64_t w1 =
+                            clean.store.read64(line + 8);
+                        mem::BackingStore bad = clean.store;
+                        bad.write64(line + 8, w1 + (1ULL << 32));
+                        EXPECT_FALSE(
+                            checkTpccConsistency(bad, lay, &why));
+                        EXPECT_EQ(why, "order (" + num(w) + "," +
+                                           num(d) + "," + num(o) +
+                                           ") line " + num(l) +
+                                           ": amount " +
+                                           num((w1 >> 32) + 1) +
+                                           " != qty * price");
+                        found = true;
+                        break;
+                    }
+                }
+            }
+        ASSERT_TRUE(found) << "no committed order crosses a page";
+    }
+
+    // A phantom order in the slot after a district's last one is
+    // caught; with that slot's page dropped from the image the slot
+    // reads zero again. Pick a district whose next slot shares its
+    // page with no committed order, so the drop loses nothing else.
+    {
+        bool found = false;
+        for (std::uint64_t d = 0; d < lay.districts && !found; ++d) {
+            const std::uint64_t next =
+                clean.store.read64(lay.districtAddr(0, d));
+            const Addr slot = lay.orderAddr(0, d, next);
+            if (next > 0 && pageEnd(clean.store, slot - 1) ==
+                                pageEnd(clean.store, slot))
+                continue;
+            mem::BackingStore bad = clean.store;
+            bad.write64(slot, next + 1);
+            EXPECT_FALSE(checkTpccConsistency(bad, lay, &why));
+            EXPECT_EQ(why, "district (0," + num(d) +
+                               "): phantom order at " + num(next));
+            EXPECT_TRUE(checkTpccConsistency(withoutPage(bad, slot),
+                                             lay, &why))
+                << why;
+            found = true;
+        }
+        ASSERT_TRUE(found) << "every next slot shares a page";
+    }
 }
 
 // The YCSB oracle has the same teeth: a torn record is rejected with

@@ -106,7 +106,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -269,10 +268,7 @@ main(int argc, char **argv)
         } else if (const char *v = arg("--zipf-theta")) {
             params.zipfTheta = parseOpenUnitFlag("--zipf-theta", v);
         } else if (const char *v = arg("--conflict-rate")) {
-            params.conflictRate = std::atof(v);
-            if (params.conflictRate < 0.0 ||
-                params.conflictRate > 1.0)
-                fatal("--conflict-rate needs a probability");
+            params.conflictRate = parseUnitFlag("--conflict-rate", v);
             // Contended programs need a CC scheme to serialize.
             if (base.run.sys.persist.ccMode == CcMode::None)
                 base.run.sys.persist.ccMode = CcMode::TwoPhase;

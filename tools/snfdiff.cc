@@ -47,7 +47,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <mutex>
@@ -154,33 +153,32 @@ main(int argc, char **argv)
             return args[++i].c_str();
         };
         if (const char *v = arg("--programs")) {
-            programs = static_cast<std::size_t>(std::atoll(v));
+            programs = static_cast<std::size_t>(
+                parseCountFlag("--programs", v));
         } else if (const char *v = arg("--seed")) {
-            baseSeed = static_cast<std::uint64_t>(std::atoll(v));
+            baseSeed = parseCountFlag("--seed", v);
         } else if (const char *v = arg("--jobs")) {
-            jobs = std::max(1, std::atoi(v));
+            // 0 keeps meaning one worker.
+            jobs = static_cast<unsigned>(std::max<std::uint64_t>(
+                1, parseCountFlag("--jobs", v)));
         } else if (const char *v = arg("--replay")) {
             replayPath = v;
         } else if (const char *v = arg("--corpus")) {
             corpusDir = v;
         } else if (const char *v = arg("--max-crash-points")) {
-            cfg.maxCrashPoints =
-                static_cast<std::size_t>(std::atoll(v));
+            cfg.maxCrashPoints = static_cast<std::size_t>(
+                parseCountFlag("--max-crash-points", v));
         } else if (const char *v = arg("--reorder-samples")) {
-            cfg.reorderSamples =
-                static_cast<std::size_t>(std::atoll(v));
+            cfg.reorderSamples = static_cast<std::size_t>(
+                parseCountFlag("--reorder-samples", v));
         } else if (const char *v = arg("--log-shards")) {
             cfg.logShards = parseLogShardsFlag("--log-shards", v);
         } else if (const char *v = arg("--out")) {
             outPath = v;
         } else if (const char *v = arg("--conflict-rate")) {
-            gen.conflictRate = std::atof(v);
-            if (gen.conflictRate < 0.0 || gen.conflictRate > 1.0)
-                fatal("--conflict-rate wants a probability");
+            gen.conflictRate = parseUnitFlag("--conflict-rate", v);
         } else if (const char *v = arg("--load-rate")) {
-            gen.loadRate = std::atof(v);
-            if (gen.loadRate < 0.0 || gen.loadRate > 1.0)
-                fatal("--load-rate wants a probability");
+            gen.loadRate = parseUnitFlag("--load-rate", v);
         } else if (const char *v = arg("--cc")) {
             if (std::strcmp(v, "2pl") == 0)
                 cfg.ccMode = CcMode::TwoPhase;
