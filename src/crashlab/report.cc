@@ -124,11 +124,12 @@ writePerfSummary(std::ostream &os, const CellResult &cell)
     std::snprintf(
         line, sizeof(line),
         "  perf: journal %llu entries, %llu checkpoints, %llu "
-        "replayed, %llu pages cloned\n",
+        "replayed, %llu pages cloned, %llu analyses reused\n",
         static_cast<unsigned long long>(p.journalEntries),
         static_cast<unsigned long long>(p.checkpointsBuilt),
         static_cast<unsigned long long>(p.entriesReplayed),
-        static_cast<unsigned long long>(p.pagesCloned));
+        static_cast<unsigned long long>(p.pagesCloned),
+        static_cast<unsigned long long>(p.analysesReused));
     os << line;
 }
 
@@ -161,6 +162,8 @@ writePerfJson(std::ostream &os, const SweepPerf &p,
     os << indent << "  \"entries_replayed\": " << p.entriesReplayed
        << ",\n";
     os << indent << "  \"pages_cloned\": " << p.pagesCloned << ",\n";
+    os << indent << "  \"analyses_reused\": " << p.analysesReused
+       << ",\n";
     os << indent << "  \"jobs\": " << p.jobsUsed << "\n";
     os << indent << "}";
 }

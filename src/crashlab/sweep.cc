@@ -198,6 +198,7 @@ runCrashSweep(const SweepConfig &cfg)
         std::uint64_t snapshotNs = 0;
         std::uint64_t evalNs = 0;
         std::uint64_t recoverNs = 0;
+        std::uint64_t analysesReused = 0;
         std::uint64_t reorderImages = 0;
         std::uint64_t reorderPointsWithPending = 0;
         std::uint64_t reorderMaxPending = 0;
@@ -213,6 +214,8 @@ runCrashSweep(const SweepConfig &cfg)
             return;
         WorkerPerf &perf = workerPerf[w];
         persist::RecoveryTimerScope recoveryTimer(&perf.recoverNs);
+        const std::uint64_t reusedBefore =
+            persist::Recovery::analysesReused();
         mem::BackingStore::Cursor cursor(store);
         // Worker-local pending-set cursor (reorderlab): one journal
         // scan per worker, advanced monotonically with the points.
@@ -271,6 +274,8 @@ runCrashSweep(const SweepConfig &cfg)
                                std::chrono::nanoseconds>(t2 - t1)
                                .count();
         }
+        perf.analysesReused =
+            persist::Recovery::analysesReused() - reusedBefore;
     };
     if (jobs == 1 || points.size() <= 1) {
         worker(0);
@@ -286,6 +291,7 @@ runCrashSweep(const SweepConfig &cfg)
     for (const WorkerPerf &perf : workerPerf) {
         res.perf.snapshotSec += perf.snapshotNs * 1e-9;
         res.perf.recoverSec += perf.recoverNs * 1e-9;
+        res.perf.analysesReused += perf.analysesReused;
         res.perf.checkSec +=
             (perf.evalNs - std::min(perf.evalNs, perf.recoverNs)) *
             1e-9;

@@ -116,6 +116,9 @@ struct SweepPerf
     std::uint64_t entriesReplayed = 0;
     /** Pages cloned by copy-on-write across the sweep. */
     std::uint64_t pagesCloned = 0;
+    /** Recovery passes that reused the previous pass's log analysis
+     *  (Recovery::analysesReused) across the evaluation workers. */
+    std::uint64_t analysesReused = 0;
     /** Worker threads actually used (after resolveJobs). */
     std::size_t jobsUsed = 0;
 };

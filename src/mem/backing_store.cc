@@ -1,6 +1,7 @@
 #include "mem/backing_store.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "sim/logging.hh"
@@ -97,6 +98,70 @@ BackingStore::JournalEntry::~JournalEntry()
     release();
 }
 
+// --- pages and the flat page table ------------------------------------
+
+BackingStore::PageRef
+BackingStore::PageRef::make(const Page *from)
+{
+    PageRef ref;
+    if (from) {
+        ref.p = new Page;
+        std::memcpy(ref.p->bytes, from->bytes, kPageBytes);
+    } else {
+        ref.p = new Page{};
+    }
+    return ref;
+}
+
+BackingStore::PageRef *
+BackingStore::PageMap::find(std::uint64_t idx)
+{
+    if (slots.empty())
+        return nullptr;
+    const std::size_t mask = slots.size() - 1;
+    for (std::size_t i = home(idx);; i = (i + 1) & mask) {
+        Slot &s = slots[i];
+        if (!s.page)
+            return nullptr;
+        if (s.idx == idx)
+            return &s.page;
+    }
+}
+
+void
+BackingStore::PageMap::insert(std::uint64_t idx, PageRef page)
+{
+    if (2 * (count + 1) > slots.size())
+        grow();
+    const std::size_t mask = slots.size() - 1;
+    std::size_t i = home(idx);
+    while (slots[i].page) {
+        SNF_ASSERT(slots[i].idx != idx, "page %llu inserted twice",
+                   static_cast<unsigned long long>(idx));
+        i = (i + 1) & mask;
+    }
+    slots[i].idx = idx;
+    slots[i].page = std::move(page);
+    ++count;
+}
+
+void
+BackingStore::PageMap::grow()
+{
+    std::vector<Slot> old = std::move(slots);
+    slots = std::vector<Slot>(old.empty() ? 16 : 2 * old.size());
+    shift = 64 - static_cast<unsigned>(std::countr_zero(slots.size()));
+    const std::size_t mask = slots.size() - 1;
+    for (Slot &s : old) {
+        if (!s.page)
+            continue;
+        std::size_t i = home(s.idx);
+        while (slots[i].page)
+            i = (i + 1) & mask;
+        slots[i] = std::move(s);
+    }
+}
+
 // --- construction / copying ------------------------------------------
 
 BackingStore::BackingStore(Addr base, std::uint64_t size)
@@ -173,8 +238,8 @@ BackingStore::operator=(BackingStore &&other) noexcept
 const BackingStore::Page *
 BackingStore::pagePtr(std::uint64_t pageIdx) const
 {
-    auto it = pages.find(pageIdx);
-    return it == pages.end() ? nullptr : it->second.get();
+    const PageRef *ref = pages.find(pageIdx);
+    return ref ? ref->get() : nullptr;
 }
 
 void
@@ -224,33 +289,30 @@ BackingStore::rawWrite(Addr addr, std::uint64_t size, const void *in)
         std::uint64_t page = off / kPageBytes;
         std::uint64_t in_page = off % kPageBytes;
         std::uint64_t n = std::min(size, kPageBytes - in_page);
-        auto it = pages.find(page);
-        if (it == pages.end()) {
+        PageRef *ref = pages.find(page);
+        if (!ref) {
             // Writing zeros to a page never written leaves the byte
             // image unchanged (absent pages read as zero): skip the
             // allocation so bulk zeroing (log truncation) keeps the
             // store sparse and later sparse scans can skip the pages
             // outright.
             if (std::memcmp(src, kZeroPage.bytes, n) != 0) {
-                auto fresh = std::make_shared<Page>(); // zeroed
+                PageRef fresh = PageRef::make(); // zeroed
                 std::memcpy(fresh->bytes + in_page, src, n);
-                pages.emplace(page, std::move(fresh));
+                pages.insert(page, std::move(fresh));
+            }
+        } else if (ref->shared()) {
+            // Shared with a snapshot, checkpoint, or sibling image. A
+            // write that leaves the bytes as they are (recovery
+            // replaying a value already in place) keeps the page
+            // shared; otherwise clone before diverging.
+            if (std::memcmp((*ref)->bytes + in_page, src, n) != 0) {
+                *ref = PageRef::make(ref->get());
+                statCloned.fetch_add(1, std::memory_order_relaxed);
+                std::memcpy((*ref)->bytes + in_page, src, n);
             }
         } else {
-            PageRef &ref = it->second;
-            if (ref.use_count() > 1) {
-                // Shared with a snapshot, checkpoint, or sibling
-                // image. A write that leaves the bytes as they are
-                // (recovery replaying a value already in place) keeps
-                // the page shared; otherwise clone before diverging.
-                if (std::memcmp(ref->bytes + in_page, src, n) != 0) {
-                    ref = std::make_shared<Page>(*ref);
-                    statCloned.fetch_add(1, std::memory_order_relaxed);
-                    std::memcpy(ref->bytes + in_page, src, n);
-                }
-            } else {
-                std::memcpy(ref->bytes + in_page, src, n);
-            }
+            std::memcpy((*ref)->bytes + in_page, src, n);
         }
         src += n;
         off += n;
@@ -527,27 +589,12 @@ BackingStore::firstDifference(const BackingStore &other, Addr from,
     std::uint64_t first_page = (from - rangeBase) / kPageBytes;
     std::uint64_t last_off = from - rangeBase + size; // exclusive
     std::uint64_t last_page = (last_off + kPageBytes - 1) / kPageBytes;
-    // Only pages present in either store can differ (absent pages
-    // read as zero), so visit those instead of walking the whole
-    // range: the range can be gigabytes while the touched set is a
-    // few hundred pages.
-    std::vector<std::uint64_t> candidates;
-    candidates.reserve(pages.size() + other.pages.size());
-    for (const auto &kv : pages)
-        if (kv.first >= first_page && kv.first < last_page)
-            candidates.push_back(kv.first);
-    for (const auto &kv : other.pages)
-        if (kv.first >= first_page && kv.first < last_page)
-            candidates.push_back(kv.first);
-    std::sort(candidates.begin(), candidates.end());
-    candidates.erase(
-        std::unique(candidates.begin(), candidates.end()),
-        candidates.end());
-    for (std::uint64_t p : candidates) {
+    // Lowest differing address within page p's part of the range.
+    auto pageDifference = [&](std::uint64_t p) -> std::optional<Addr> {
         const Page *a = pagePtr(p);
         const Page *b = other.pagePtr(p);
         if (a == b) // both absent, or one COW-shared page
-            continue;
+            return std::nullopt;
         std::uint64_t lo = std::max<std::uint64_t>(
             p * kPageBytes, from - rangeBase);
         std::uint64_t hi =
@@ -562,11 +609,51 @@ BackingStore::firstDifference(const BackingStore &other, Addr from,
         // a later write undid): settle that with one memcmp and only
         // walk the bytes of a page known to differ.
         if (std::memcmp(pa, pb, hi - lo) == 0)
-            continue;
+            return std::nullopt;
         const std::uint8_t *at = std::mismatch(pa, pa + (hi - lo), pb).first;
         return rangeBase + lo + static_cast<std::uint64_t>(at - pa);
+    };
+
+    // A range narrower than the resident sets is walked page by page.
+    if (last_page - first_page <= pages.size() + other.pages.size()) {
+        for (std::uint64_t p = first_page; p < last_page; ++p)
+            if (auto d = pageDifference(p))
+                return d;
+        return std::nullopt;
     }
+    // Otherwise only pages present in either store can differ (absent
+    // pages read as zero), so visit those instead of walking the whole
+    // range: the range can be gigabytes while the touched set is a
+    // few hundred pages.
+    std::vector<std::uint64_t> candidates;
+    candidates.reserve(pages.size() + other.pages.size());
+    auto inRange = [&](std::uint64_t p, const PageRef &) {
+        if (p >= first_page && p < last_page)
+            candidates.push_back(p);
+    };
+    pages.forEach(inRange);
+    other.pages.forEach(inRange);
+    std::sort(candidates.begin(), candidates.end());
+    candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                     candidates.end());
+    for (std::uint64_t p : candidates)
+        if (auto d = pageDifference(p))
+            return d;
     return std::nullopt;
+}
+
+BackingStore
+BackingStore::slice(Addr from, std::uint64_t size) const
+{
+    SNF_ASSERT(contains(from, size), "slice range outside store");
+    BackingStore out(rangeBase, rangeSize);
+    const std::uint64_t first_page = (from - rangeBase) / kPageBytes;
+    const std::uint64_t last_page =
+        (from - rangeBase + size + kPageBytes - 1) / kPageBytes;
+    for (std::uint64_t p = first_page; p < last_page; ++p)
+        if (const PageRef *ref = pages.find(p))
+            out.pages.insert(p, *ref);
+    return out;
 }
 
 } // namespace snf::mem

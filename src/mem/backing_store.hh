@@ -5,8 +5,9 @@
  * device image as of a simulated crash instant.
  *
  * Snapshot engine (perf): pages are immutable-by-sharing and
- * copy-on-write (`shared_ptr`-backed), so cloning an image is
- * O(pages present) pointer copies instead of byte copies; the journal
+ * copy-on-write (reference-counted) and indexed by a flat
+ * open-addressing table, so cloning an image is one array copy plus a
+ * refcount increment per page instead of byte copies; the journal
  * keeps a lazily built completion-tick index with materialized
  * checkpoints every K entries, so snapshotAt(t) replays only the
  * delta past the nearest checkpoint instead of the whole journal; and
@@ -26,7 +27,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "sim/types.hh"
@@ -43,7 +44,7 @@ namespace snf::mem
  * Thread safety: concurrent const use (snapshotAt, read,
  * firstDifference, Cursor) on a quiescent store is safe — the lazy
  * snapshot index is built once under an internal lock, and page
- * sharing is via atomic shared_ptr refcounts. Mutation requires
+ * sharing is via atomic page refcounts. Mutation requires
  * exclusive access, as before.
  */
 class BackingStore
@@ -217,11 +218,22 @@ class BackingStore
      * the ranges are byte-identical. Both stores must cover the
      * range. Compares page-wise and skips pages the two stores share
      * (COW siblings diff only where they actually diverged), so
-     * sparse images stay cheap.
+     * sparse images stay cheap; a range narrower than the resident
+     * page set walks its own page indices instead of every resident
+     * page.
      */
     std::optional<Addr> firstDifference(const BackingStore &other,
                                         Addr from,
                                         std::uint64_t size) const;
+
+    /**
+     * A journal-less store over the same range holding only this
+     * store's pages that overlap [from, from+size), shared
+     * copy-on-write; every other byte reads as zero. Holding it pins
+     * those pages: a writer to any of them clones first, so the slice
+     * keeps the bytes it was taken with.
+     */
+    BackingStore slice(Addr from, std::uint64_t size) const;
 
     Addr base() const { return rangeBase; }
 
@@ -240,9 +252,138 @@ class BackingStore
     struct Page
     {
         std::uint8_t bytes[kPageBytes];
+        /** Handles (PageRef) on this page. */
+        std::atomic<std::uint32_t> refs{1};
     };
-    using PageRef = std::shared_ptr<Page>;
-    using PageMap = std::unordered_map<std::uint64_t, PageRef>;
+
+    /**
+     * Owning handle on a page, counted in the page itself: one
+     * pointer wide, so a page-table slot is 16 bytes.
+     */
+    class PageRef
+    {
+      public:
+        PageRef() = default;
+
+        /** A new page: zero-filled, or a copy of @p from's bytes. */
+        static PageRef make(const Page *from = nullptr);
+
+        PageRef(const PageRef &other) noexcept : p(other.p)
+        {
+            if (p)
+                p->refs.fetch_add(1, std::memory_order_relaxed);
+        }
+
+        PageRef(PageRef &&other) noexcept
+            : p(std::exchange(other.p, nullptr))
+        {
+        }
+
+        PageRef &
+        operator=(PageRef other) noexcept
+        {
+            std::swap(p, other.p);
+            return *this;
+        }
+
+        ~PageRef()
+        {
+            if (p && p->refs.fetch_sub(1, std::memory_order_acq_rel) == 1)
+                delete p;
+        }
+
+        Page *get() const { return p; }
+        Page *operator->() const { return p; }
+        explicit operator bool() const { return p != nullptr; }
+
+        /** Another handle (a sibling store, a checkpoint, a slice)
+         *  holds the page too, so it must not be written in place. */
+        bool
+        shared() const
+        {
+            return p->refs.load(std::memory_order_acquire) > 1;
+        }
+
+      private:
+        Page *p = nullptr;
+    };
+
+    /**
+     * Page index -> page, open addressing: power-of-two capacity,
+     * linear probing from a multiplicative hash, load factor at most
+     * 1/2. Pages are only ever added, so probing needs no tombstones.
+     * Copying is one slot-array copy plus a refcount increment per
+     * page; iteration order is unspecified.
+     */
+    class PageMap
+    {
+      public:
+        PageMap() = default;
+        PageMap(const PageMap &) = default;
+        PageMap &operator=(const PageMap &) = default;
+
+        PageMap(PageMap &&other) noexcept
+            : slots(std::move(other.slots)),
+              count(std::exchange(other.count, 0)),
+              shift(std::exchange(other.shift, 64))
+        {
+        }
+
+        PageMap &
+        operator=(PageMap &&other) noexcept
+        {
+            slots = std::move(other.slots);
+            count = std::exchange(other.count, 0);
+            shift = std::exchange(other.shift, 64);
+            return *this;
+        }
+
+        /** The page stored under @p idx, or nullptr. */
+        PageRef *find(std::uint64_t idx);
+
+        const PageRef *
+        find(std::uint64_t idx) const
+        {
+            return const_cast<PageMap *>(this)->find(idx);
+        }
+
+        /** Add @p page under @p idx, which must be absent. */
+        void insert(std::uint64_t idx, PageRef page);
+
+        std::size_t size() const { return count; }
+
+        /** Call @p fn(idx, page) for every page. */
+        template <typename Fn>
+        void
+        forEach(Fn &&fn) const
+        {
+            for (const Slot &s : slots)
+                if (s.page)
+                    fn(s.idx, s.page);
+        }
+
+      private:
+        /** Empty while page is null. */
+        struct Slot
+        {
+            std::uint64_t idx = 0;
+            PageRef page;
+        };
+
+        std::size_t
+        home(std::uint64_t idx) const
+        {
+            return static_cast<std::size_t>(
+                (idx * 0x9e3779b97f4a7c15ULL) >> shift);
+        }
+
+        void grow();
+
+        std::vector<Slot> slots;
+        std::size_t count = 0;
+        /** 64 - log2(capacity). */
+        unsigned shift = 64;
+    };
 
     /**
      * One journaled write. Payloads of up to kInlineCapacity bytes

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -195,7 +196,27 @@ struct SlotMeta
 constexpr std::uint32_t kNoRec = ~std::uint32_t{0};
 
 /**
- * Recover a log area split into AddressMap::logRegionCount() circular
+ * What steps 1-5 of a recovery pass derive from the image: the
+ * report's scan and decision fields, and the per-region state that
+ * replay, promotion and truncation act on. A pure function of the
+ * metadata area [logBase, heapBase) (log, remap table and spare
+ * lines), the map geometry and opts.faultIgnoreCrc, which is what
+ * lets Recovery::run reuse it across passes over identical bytes.
+ */
+struct Analysis
+{
+    RecoveryReport report;
+    std::vector<RegionScan> sc;
+    /** Per-slot classification over every live region's slots. */
+    std::vector<SlotMeta> meta;
+    /** Records of the Valid slots, densely. */
+    std::vector<SlotInfo> parsed;
+    /** Some live region's truncation flag is up: finish zeroing. */
+    bool resumeTruncation = false;
+};
+
+/**
+ * Analyze a log area split into AddressMap::logRegionCount() circular
  * regions: one centralized log, per-core partitions (paper Section
  * III-F) or address-interleaved shards (shardlab). Every region scans
  * the same way (slot classification, torn-parity window, re-entrant
@@ -217,24 +238,26 @@ constexpr std::uint32_t kNoRec = ~std::uint32_t{0};
  *    the regions that still hold its records (its dead-region slice
  *    is unrecoverable either way), reported in deadShardAbortTxIds.
  *
- * Truncation raises every live region's flag before zeroing any slot
- * array, so a resumed pass finding any flag set knows replay fully
- * applied (the flag writes are ordered after every replay write
- * through the counted ImageIO) and only has to finish the zeroing.
+ * Reads only; apply() does every write. @p an's buffers are reused
+ * across calls: a sweep recovers once per crash point × pass, and the
+ * per-call allocation plus value-initialization of a full per-slot
+ * array dominated recovery's own profile.
  */
-RecoveryReport
-recoverIo(ImageIO &io, const AddressMap &map,
-          const RecoveryOptions &opts, mem::RemapTable *promoteInto)
+void
+analyze(const ImageIO &io, const AddressMap &map, bool faultIgnoreCrc,
+        Analysis &an)
 {
-    RecoveryReport report;
+    RecoveryReport &report = an.report;
+    report = RecoveryReport{};
     const std::uint32_t nRegions = map.logRegionCount();
     const std::uint64_t region_bytes = map.logSize / nRegions;
 
-    std::vector<RegionScan> sc(nRegions);
+    std::vector<RegionScan> &sc = an.sc;
+    sc.assign(nRegions, RegionScan{});
     report.shards.resize(nRegions);
     std::uint64_t deadMask = 0;
     std::uint64_t total_slots = 0;
-    bool anyTruncFlag = false;
+    an.resumeTruncation = false;
 
     // Step 1: read every region's header (geometry) and truncation
     // flag before any write — the resume decision needs the global
@@ -250,12 +273,6 @@ recoverIo(ImageIO &io, const AddressMap &map,
         if (magic != LogRegion::kMagic || slots == 0 ||
             slots > (region_bytes - LogRegion::kHeaderBytes) /
                         LogRecord::kSlotBytes) {
-            if (nRegions == 1)
-                warn("recovery: invalid log header, nothing to recover");
-            else
-                warn("recovery: log region %u header invalid, degraded "
-                     "mode",
-                     s);
             summ.dead = true;
             deadMask |= 1ULL << s;
             continue;
@@ -266,39 +283,14 @@ recoverIo(ImageIO &io, const AddressMap &map,
         total_slots += slots;
         summ.headerValid = true;
         report.headerValid = true;
-        anyTruncFlag |=
+        an.resumeTruncation |=
             io.read64(sh.base + LogRegion::kTruncFlagOffset) != 0;
     }
 
-    auto zeroRegion = [&](const RegionScan &sh) {
-        // Chunked into whole lines so the write budget sees the same
-        // units as every other recovery write.
-        constexpr std::uint64_t kChunk = 1024;
-        std::uint8_t zeros[kChunk] = {};
-        std::uint64_t area = sh.slots * LogRecord::kSlotBytes;
-        for (std::uint64_t off = 0; off < area; off += kChunk)
-            io.write(sh.slot0 + off,
-                     std::min<std::uint64_t>(kChunk, area - off),
-                     zeros);
-        std::uint64_t cleared = 0;
-        io.write(sh.base + LogRegion::kTruncFlagOffset,
-                 sizeof(cleared), &cleared);
-    };
-
-    // An interrupted truncation must not let a resumed recovery
-    // reinterpret a partially zeroed slot array (a zeroed prefix can
-    // detach a commit record from its updates or resurrect stale-pass
-    // records under a different window parity). Any live region's
-    // flag proves the previous pass finished replay and promotion
-    // everywhere (all flags are raised before any slot is zeroed, and
-    // only after replay), so the resumed pass just finishes zeroing
-    // every live region.
-    if (anyTruncFlag) {
-        for (const RegionScan &sh : sc)
-            if (!sh.dead)
-                zeroRegion(sh);
-        return report;
-    }
+    // An interrupted truncation leaves nothing to analyze: apply()
+    // only finishes the zeroing.
+    if (an.resumeTruncation)
+        return;
 
     // Step 2: classify every slot. classifySlot separates damage
     // (torn partial writes, CRC failures) from parseable records;
@@ -309,17 +301,12 @@ recoverIo(ImageIO &io, const AddressMap &map,
     // every slot inside it is Empty without the bytes ever being
     // copied or compared — on a typical sweep only the written log
     // prefix of the multi-MB area costs anything. Remapped images
-    // (lifelab) read slot by slot through the translation.
-    //
-    // Scratch is thread_local and reused across calls: a sweep runs
-    // recovery once per crash point × pass, and the per-call
-    // allocation plus value-initialization of a full SlotInfo array
-    // (each entry embeds a LogRecord) dominated recovery's own
-    // profile. Per-slot state is an 8-byte SlotMeta over the slots of
-    // every live region; parsed records are stored once, densely,
-    // only for Valid slots.
-    thread_local std::vector<SlotMeta> meta;
-    thread_local std::vector<SlotInfo> parsed;
+    // (lifelab) read slot by slot through the translation. Per-slot
+    // state is an 8-byte SlotMeta over the slots of every live
+    // region; parsed records are stored once, densely, only for Valid
+    // slots.
+    std::vector<SlotMeta> &meta = an.meta;
+    std::vector<SlotInfo> &parsed = an.parsed;
     meta.assign(total_slots, SlotMeta{SlotClass::Empty, false, kNoRec});
     parsed.clear();
     static const std::uint8_t kZeroSlot[LogRecord::kSlotBytes] = {};
@@ -332,7 +319,7 @@ recoverIo(ImageIO &io, const AddressMap &map,
             return;
         }
         SlotInfo si = classifySlot(img);
-        if (opts.faultIgnoreCrc && si.cls == SlotClass::CrcFail) {
+        if (faultIgnoreCrc && si.cls == SlotClass::CrcFail) {
             // Injected bug: the pre-faultlab scanner trusted any slot
             // with a written marker.
             bool torn = false;
@@ -655,6 +642,66 @@ recoverIo(ImageIO &io, const AddressMap &map,
         ++report.deadShardAborted;
         report.deadShardAbortTxIds.push_back(tx);
     }
+}
+
+/**
+ * Steps 6, 6b and 7 of a pass over @p an: replay, promotion of damaged
+ * lines, truncation — or, after an interrupted truncation, just its
+ * completion. Every write goes through @p io, so the write budget,
+ * the touched-line set and the probe see the same sequence whether
+ * @p an was just computed or reused.
+ *
+ * Truncation raises every live region's flag before zeroing any slot
+ * array, so a resumed pass finding any flag set knows replay fully
+ * applied (the flag writes are ordered after every replay write
+ * through the counted ImageIO) and only has to finish the zeroing.
+ */
+RecoveryReport
+apply(ImageIO &io, const Analysis &an, const RecoveryOptions &opts,
+      mem::RemapTable *promoteInto)
+{
+    RecoveryReport report = an.report;
+    const std::vector<RegionScan> &sc = an.sc;
+    for (const ShardSummary &summ : report.shards) {
+        if (!summ.dead)
+            continue;
+        if (sc.size() == 1)
+            warn("recovery: invalid log header, nothing to recover");
+        else
+            warn("recovery: log region %u header invalid, degraded "
+                 "mode",
+                 summ.shard);
+    }
+
+    auto zeroRegion = [&](const RegionScan &sh) {
+        // Chunked into whole lines so the write budget sees the same
+        // units as every other recovery write.
+        constexpr std::uint64_t kChunk = 1024;
+        std::uint8_t zeros[kChunk] = {};
+        std::uint64_t area = sh.slots * LogRecord::kSlotBytes;
+        for (std::uint64_t off = 0; off < area; off += kChunk)
+            io.write(sh.slot0 + off,
+                     std::min<std::uint64_t>(kChunk, area - off),
+                     zeros);
+        std::uint64_t cleared = 0;
+        io.write(sh.base + LogRegion::kTruncFlagOffset,
+                 sizeof(cleared), &cleared);
+    };
+
+    // An interrupted truncation must not let a resumed recovery
+    // reinterpret a partially zeroed slot array (a zeroed prefix can
+    // detach a commit record from its updates or resurrect stale-pass
+    // records under a different window parity). Any live region's
+    // flag proves the previous pass finished replay and promotion
+    // everywhere (all flags are raised before any slot is zeroed, and
+    // only after replay), so the resumed pass just finishes zeroing
+    // every live region.
+    if (an.resumeTruncation) {
+        for (const RegionScan &sh : sc)
+            if (!sh.dead)
+                zeroRegion(sh);
+        return report;
+    }
 
     // Step 6: replay. Redo salvaged transactions' updates in log
     // order; undo uncommitted ones in reverse log order. Quarantined
@@ -669,7 +716,7 @@ recoverIo(ImageIO &io, const AddressMap &map,
         std::size_t gi = sh.genOf[i];
         if (gi == SIZE_MAX || sh.gens[gi].action != want)
             return;
-        const LogRecord &rec = parsed[sh.window[i]].rec;
+        const LogRecord &rec = an.parsed[sh.window[i]].rec;
         bool undo = want == RegionGen::Action::Undo;
         if ((undo ? rec.hasUndo : rec.hasRedo) && rec.size >= 1 &&
             rec.size <= 8 && io.contains(rec.addr, rec.size)) {
@@ -700,7 +747,7 @@ recoverIo(ImageIO &io, const AddressMap &map,
         for (const RegionScan &sh : sc) {
             if (sh.dead)
                 continue;
-            const SlotMeta *m = meta.data() + sh.metaBase;
+            const SlotMeta *m = an.meta.data() + sh.metaBase;
             std::vector<Addr> bad_lines;
             for (std::uint64_t i = 0; i < sh.slots; ++i) {
                 if (m[i].cls != SlotClass::Torn &&
@@ -756,6 +803,38 @@ recoverIo(ImageIO &io, const AddressMap &map,
     return report;
 }
 
+/** Everything analyze() reads besides the metadata bytes. */
+struct MemoKey
+{
+    Addr imageBase = 0;
+    std::uint64_t imageSize = 0;
+    Addr logBase = 0;
+    std::uint64_t logSize = 0;
+    std::uint32_t regions = 0;
+    std::uint64_t remapSize = 0;
+    std::uint64_t spareSize = 0;
+    bool faultIgnoreCrc = false;
+
+    bool operator==(const MemoKey &) const = default;
+};
+
+/**
+ * One thread's last analysis and what it was computed from. One entry
+ * serves checkCrashPoint, whose first three passes read the same log
+ * bytes back to back.
+ */
+struct AnalysisMemo
+{
+    MemoKey key;
+    /** Slice of the analyzed image's metadata area; its pages stay
+     *  pinned (writers clone them), so the bytes cannot change. */
+    std::optional<mem::BackingStore> metadata;
+    Analysis analysis;
+};
+
+thread_local AnalysisMemo analysisMemo;
+thread_local std::uint64_t analysesReusedCount = 0;
+
 } // namespace
 
 RecoveryTimerScope::RecoveryTimerScope(std::uint64_t *sinkNs)
@@ -773,6 +852,12 @@ std::uint64_t *
 activeRecoveryTimerSink()
 {
     return recoveryTimerSink;
+}
+
+std::uint64_t
+Recovery::analysesReused()
+{
+    return analysesReusedCount;
 }
 
 RecoveryReport
@@ -816,9 +901,29 @@ Recovery::run(mem::BackingStore &image, const AddressMap &map,
     io.collect = opts.collectWrites;
     io.probe = &opts.probe;
 
-    RecoveryReport r = recoverIo(
-        io, map, opts,
-        have_remap && opts.promoteBadLines ? &remap : nullptr);
+    // Reuse this thread's last analysis when the image holds the same
+    // metadata bytes under the same geometry and scan flag. Pinned
+    // pages compare by pointer, so a COW sibling of the last image
+    // (the next pass of a crash point's checks) hits for the cost of
+    // one page-table walk over the metadata area.
+    AnalysisMemo &memo = analysisMemo;
+    const Addr metaBase = map.logBase();
+    const std::uint64_t metaBytes = map.heapBase() - metaBase;
+    const MemoKey key{image.base(),         image.size(),
+                      metaBase,             map.logSize,
+                      map.logRegionCount(), map.remapSize,
+                      map.spareSize,        opts.faultIgnoreCrc};
+    if (memo.metadata && memo.key == key &&
+        !memo.metadata->firstDifference(image, metaBase, metaBytes)) {
+        ++analysesReusedCount;
+    } else {
+        analyze(io, map, opts.faultIgnoreCrc, memo.analysis);
+        memo.key = key;
+        memo.metadata = image.slice(metaBase, metaBytes);
+    }
+    RecoveryReport r =
+        apply(io, memo.analysis, opts,
+              have_remap && opts.promoteBadLines ? &remap : nullptr);
     r.remapCorrupt = remap_corrupt;
     r.writesIssued = io.issued;
     r.writesApplied = io.applied;

@@ -214,10 +214,24 @@ class Recovery
                               const AddressMap &map,
                               bool truncateLog = true);
 
-    /** As above with full options (fault injection for crashlab). */
+    /**
+     * As above with full options (fault injection for crashlab).
+     *
+     * A pass first analyzes the log (scan, live window, decisions),
+     * reading only the metadata area [map.logBase(), map.heapBase()),
+     * then replays and truncates. Each thread keeps its last analysis
+     * and reuses it while the next image holds byte-identical
+     * metadata under the same geometry and opts.faultIgnoreCrc; the
+     * report, the image and the write sequence are the same either
+     * way. Must not be re-entered from opts.probe.
+     */
     static RecoveryReport run(mem::BackingStore &image,
                               const AddressMap &map,
                               const RecoveryOptions &opts);
+
+    /** Passes on the calling thread so far that reused the previous
+     *  pass's analysis. */
+    static std::uint64_t analysesReused();
 };
 
 } // namespace snf::persist

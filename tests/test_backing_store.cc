@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <random>
+
 #include "mem/backing_store.hh"
 
 using namespace snf;
@@ -225,4 +228,151 @@ TEST(BackingStore, ResidentZeroPageEqualsAbsentPage)
     ASSERT_NE(a.pageAt(3 * 4096, &avail), nullptr);
     EXPECT_FALSE(a.firstDifference(b, 0, 1 << 20).has_value());
     EXPECT_FALSE(b.firstDifference(a, 0, 1 << 20).has_value());
+}
+
+// --- the flat page table ----------------------------------------------
+
+namespace
+{
+
+constexpr std::uint64_t kPage = 4096;
+
+/** One byte at @p addr, marked so that distinct pages hold distinct
+ *  values. */
+std::uint8_t
+markOf(Addr addr)
+{
+    return static_cast<std::uint8_t>(1 + (addr / kPage) % 251);
+}
+
+} // namespace
+
+TEST(BackingStorePageTable, PowerOfTwoStridesStayDistinct)
+{
+    // Page indices a power of two apart share their low bits, the
+    // classic collision pattern for a masked hash.
+    for (unsigned k : {0u, 4u, 10u, 16u, 20u}) {
+        SCOPED_TRACE(k);
+        const std::uint64_t stride = (1ULL << k) * kPage;
+        BackingStore bs(0, 300 * stride);
+        for (std::uint64_t i = 0; i < 300; ++i) {
+            std::uint8_t v = markOf(i * stride);
+            bs.write(i * stride + 7, 1, &v);
+        }
+        for (std::uint64_t i = 0; i < 300; ++i) {
+            std::uint8_t got = 0;
+            bs.read(i * stride + 7, 1, &got);
+            EXPECT_EQ(got, markOf(i * stride)) << "page " << i;
+        }
+        if (k > 0) {
+            // Absent pages in between still read as zero.
+            std::uint64_t avail = 0;
+            EXPECT_EQ(bs.pageAt(stride / 2, &avail), nullptr);
+            EXPECT_EQ(bs.read64(299 * stride + stride / 2), 0u);
+        }
+    }
+}
+
+TEST(BackingStorePageTable, GrowthMatchesReferenceMap)
+{
+    BackingStore bs(0, 1ULL << 40);
+    std::map<Addr, std::uint8_t> ref;
+    std::mt19937_64 rng(5);
+    // 6000 random bytes, nearly all on distinct pages, grow the table
+    // through every power of two from 16 to 16384 slots; every byte
+    // must survive each rehash.
+    while (ref.size() < 6000) {
+        Addr a = rng() % (1ULL << 40);
+        std::uint8_t v = markOf(a);
+        bs.write(a, 1, &v);
+        ref[a] = v;
+        if (ref.size() % 1000 == 0) {
+            BackingStore copy = bs;
+            for (const auto &[addr, val] : ref) {
+                std::uint8_t got = 0;
+                copy.read(addr, 1, &got);
+                ASSERT_EQ(got, val) << "at " << addr;
+            }
+        }
+    }
+    for (const auto &[addr, val] : ref) {
+        std::uint8_t got = 0;
+        bs.read(addr, 1, &got);
+        ASSERT_EQ(got, val) << "at " << addr;
+    }
+    // Bytes next to the written ones, and pages never written, read
+    // as zero.
+    for (int i = 0; i < 2000; ++i) {
+        Addr a = rng() % (1ULL << 40);
+        std::uint8_t got = 0xff;
+        bs.read(a, 1, &got);
+        auto it = ref.find(a);
+        EXPECT_EQ(got, it == ref.end() ? 0 : it->second) << "at " << a;
+    }
+}
+
+TEST(BackingStorePageTable, CopyClonesOnlyTheWrittenPage)
+{
+    BackingStore a(0, 1ULL << 30);
+    for (std::uint64_t p = 0; p < 500; ++p) {
+        std::uint8_t v = markOf(p * 3 * kPage);
+        a.write(p * 3 * kPage, 1, &v);
+    }
+    BackingStore b = a;
+    const std::uint64_t cloned = b.pagesCloned();
+    const Addr target = 250 * 3 * kPage;
+    std::uint8_t x = 0;
+    b.write(target + 9, 1, &x); // 0 over 0: identical, stays shared
+    x = 0xab;
+    b.write(target + 9, 1, &x);
+    EXPECT_EQ(b.pagesCloned(), cloned + 1);
+    for (std::uint64_t p = 0; p < 500; ++p) {
+        std::uint64_t availA = 0, availB = 0;
+        const std::uint8_t *pa = a.pageAt(p * 3 * kPage, &availA);
+        const std::uint8_t *pb = b.pageAt(p * 3 * kPage, &availB);
+        ASSERT_NE(pa, nullptr);
+        if (p * 3 * kPage == target)
+            EXPECT_NE(pa, pb);
+        else
+            EXPECT_EQ(pa, pb) << "page " << p * 3 << " was cloned";
+    }
+    std::uint8_t got = 0;
+    a.read(target + 9, 1, &got);
+    EXPECT_EQ(got, 0);
+    EXPECT_EQ(a.firstDifference(b, 0, 1ULL << 30), target + 9);
+}
+
+TEST(BackingStorePageTable, SubRangeDiffIgnoresResidentPagesOutside)
+{
+    BackingStore a(0, 1ULL << 30);
+    // 2000 resident pages above the range, far more than it spans.
+    for (std::uint64_t p = 0; p < 2000; ++p) {
+        std::uint8_t v = markOf((100 + p) * kPage);
+        a.write((100 + p) * kPage, 1, &v);
+    }
+    std::uint8_t one = 1;
+    a.write(2 * kPage, 1, &one);
+    BackingStore b = a;
+    const Addr from = kPage + 100;
+    const std::uint64_t size = 4 * kPage;
+
+    // Differences outside the range do not count.
+    std::uint8_t x = 0x77;
+    b.write(500 * kPage, 1, &x);
+    b.write(from - 1, 1, &x);
+    b.write(from + size, 1, &x);
+    EXPECT_FALSE(a.firstDifference(b, from, size).has_value());
+    EXPECT_EQ(a.firstDifference(b, 0, 1ULL << 30), from - 1);
+
+    // Inside: the range's last byte, on a page of its own.
+    BackingStore c = a;
+    c.write(from + size - 1, 1, &x);
+    EXPECT_EQ(a.firstDifference(c, from, size), from + size - 1);
+
+    // A page absent in one store, then one both hold.
+    b.write(4 * kPage + 5, 1, &x);
+    EXPECT_EQ(a.firstDifference(b, from, size), 4 * kPage + 5);
+    EXPECT_EQ(b.firstDifference(a, from, size), 4 * kPage + 5);
+    b.write(2 * kPage + 3, 1, &x);
+    EXPECT_EQ(a.firstDifference(b, from, size), 2 * kPage + 3);
 }

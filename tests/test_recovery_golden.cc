@@ -16,6 +16,11 @@
  * Any change to what recovery decides, writes, or the order it writes
  * in shows up here as a named case. A mismatch prints the recomputed
  * table row.
+ *
+ * The same fingerprints hold whether recovery analyzes an image's log
+ * afresh or reuses its thread's previous analysis, and the reuse key
+ * is tested for each input the analysis reads: log bytes, the remap
+ * table, spare lines and the ignore-CRC fault flag.
  */
 
 #include <gtest/gtest.h>
@@ -23,11 +28,15 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "core/system.hh"
 #include "crashlab/faultlab.hh"
+#include "mem/remap_table.hh"
 #include "persist/log_record.hh"
 #include "persist/log_region.hh"
 #include "persist/recovery.hh"
@@ -141,13 +150,21 @@ struct Fingerprint
     std::uint64_t writes = 0;
     /** Per-region summaries the report carries. */
     std::size_t regionSummaries = 0;
+};
+
+/** One golden crash image and what its run left behind. */
+struct GoldenImage
+{
+    const ImageSpec *spec = nullptr;
+    mem::BackingStore image{0, 0};
+    AddressMap map;
     /** Log regions of the image that hold at least one record. */
     std::uint32_t regionsWithRecords = 0;
     std::uint64_t logWraps = 0;
 };
 
-Fingerprint
-recoverGolden(const ImageSpec &spec)
+GoldenImage
+buildImage(const ImageSpec &spec)
 {
     SystemConfig cfg = SystemConfig::scaled(4);
     cfg.persist.crashJournal = true;
@@ -181,31 +198,41 @@ recoverGolden(const ImageSpec &spec)
     Tick end = sys.run(spec.crashAt);
     EXPECT_GE(end, spec.crashAt) << spec.name << ": ran out before crash";
 
-    Fingerprint fp;
+    GoldenImage g;
+    g.spec = &spec;
     for (std::size_t i = 0; i < sys.logPartitionCount(); ++i)
-        fp.logWraps += sys.logPartition(i).wraps.value();
+        g.logWraps += sys.logPartition(i).wraps.value();
 
-    mem::BackingStore image = sys.crashSnapshot(spec.crashAt);
-    const AddressMap &map = sys.config().map;
-    std::uint64_t regionBytes = map.logSize / map.logRegionCount();
-    for (std::uint32_t r = 0; r < map.logRegionCount(); ++r) {
+    g.image = sys.crashSnapshot(spec.crashAt);
+    g.map = sys.config().map;
+    std::uint64_t regionBytes = g.map.logSize / g.map.logRegionCount();
+    for (std::uint32_t r = 0; r < g.map.logRegionCount(); ++r) {
         std::uint8_t slot[persist::LogRecord::kSlotBytes];
-        image.read(map.logBase() + r * regionBytes +
-                       persist::LogRegion::kHeaderBytes,
-                   sizeof(slot), slot);
+        g.image.read(g.map.logBase() + r * regionBytes +
+                         persist::LogRegion::kHeaderBytes,
+                     sizeof(slot), slot);
         if (persist::classifySlot(slot).cls == persist::SlotClass::Valid)
-            ++fp.regionsWithRecords;
+            ++g.regionsWithRecords;
     }
 
     if (spec.damage) {
         crashlab::ImageFaultConfig faults =
             crashlab::ImageFaultConfig::heavy(7);
         faults.killShard = spec.killShard;
-        crashlab::applyImageFaults(image, map, faults, spec.crashAt);
+        crashlab::applyImageFaults(g.image, g.map, faults, spec.crashAt);
     }
+    return g;
+}
 
+/** Recover a copy of @p image; the pass's fingerprints. */
+Fingerprint
+recoverImage(const mem::BackingStore &image, const AddressMap &map,
+             const ImageSpec &spec, bool ignoreCrc = false)
+{
+    mem::BackingStore img = image;
     persist::RecoveryOptions opts;
     opts.promoteBadLines = spec.remap;
+    opts.faultIgnoreCrc = ignoreCrc;
     std::uint64_t writes = kFnvBasis;
     opts.probe = [&writes](sim::ProbeEvent e, Tick ordinal,
                            std::uint64_t line) {
@@ -214,13 +241,54 @@ recoverGolden(const ImageSpec &spec)
         writes = fnv(writes, &ordinal, sizeof(ordinal));
         writes = fnv(writes, &line, sizeof(line));
     };
-    persist::RecoveryReport rep = persist::Recovery::run(image, map, opts);
+    persist::RecoveryReport rep = persist::Recovery::run(img, map, opts);
+    Fingerprint fp;
     fp.report = reportKey(rep, spec.shards > 1);
     fp.regionSummaries = rep.shards.size();
     fp.reportHash = fnv(kFnvBasis, fp.report.data(), fp.report.size());
-    fp.image = imageHash(image);
+    fp.image = imageHash(img);
     fp.writes = writes;
     return fp;
+}
+
+Fingerprint
+recoverImage(const GoldenImage &g)
+{
+    return recoverImage(g.image, g.map, *g.spec);
+}
+
+/** Recover a throwaway copy, leaving only the thread's analysis. */
+void
+analyzeOnly(const mem::BackingStore &image, const AddressMap &map)
+{
+    mem::BackingStore img = image;
+    persist::Recovery::run(img, map);
+}
+
+/** Recover on a new thread, whose recovery has analyzed nothing yet. */
+Fingerprint
+recoverCold(const mem::BackingStore &image, const AddressMap &map,
+            const ImageSpec &spec)
+{
+    Fingerprint fp;
+    std::thread([&] {
+        fp = recoverImage(image, map, spec);
+        EXPECT_EQ(persist::Recovery::analysesReused(), 0u);
+    }).join();
+    return fp;
+}
+
+/** Address of the first Valid slot of the image's first log region. */
+Addr
+firstValidSlot(const GoldenImage &g)
+{
+    const Addr slot0 = g.map.logBase() + persist::LogRegion::kHeaderBytes;
+    for (Addr a = slot0;; a += persist::LogRecord::kSlotBytes) {
+        std::uint8_t slot[persist::LogRecord::kSlotBytes];
+        g.image.read(a, sizeof(slot), slot);
+        if (persist::classifySlot(slot).cls == persist::SlotClass::Valid)
+            return a;
+    }
 }
 
 // clang-format off
@@ -291,31 +359,163 @@ tableRow(const char *name, const Fingerprint &fp)
     return buf;
 }
 
+/** Every kImages entry, built once per process. */
+const std::vector<GoldenImage> &
+goldenImages()
+{
+    static const std::vector<GoldenImage> all = [] {
+        std::vector<GoldenImage> v;
+        for (const ImageSpec &spec : kImages)
+            v.push_back(buildImage(spec));
+        return v;
+    }();
+    return all;
+}
+
+const GoldenImage &
+goldenImage(const char *name)
+{
+    for (const GoldenImage &g : goldenImages())
+        if (std::string(g.spec->name) == name)
+            return g;
+    ADD_FAILURE() << "no golden image " << name;
+    return goldenImages().front();
+}
+
+/** Fail unless @p fp matches the pinned row of @p name. */
+void
+expectPinned(const char *name, const Fingerprint &fp)
+{
+    const Golden *g = goldenFor(name);
+    if (!g || g->report != fp.reportHash || g->image != fp.image ||
+        g->writes != fp.writes) {
+        ADD_FAILURE() << "fingerprint drift\n  report: " << fp.report
+                      << "\n  row:\n" << tableRow(name, fp);
+    }
+}
+
 } // namespace
 
 TEST(RecoveryGolden, ImagesRecoverToPinnedFingerprints)
 {
-    for (const ImageSpec &spec : kImages) {
+    for (const GoldenImage &g : goldenImages()) {
+        const ImageSpec &spec = *g.spec;
         SCOPED_TRACE(spec.name);
-        Fingerprint fp = recoverGolden(spec);
+        Fingerprint fp = recoverImage(g);
 
         // The images must exercise what their names promise.
         if (spec.wrap) {
-            EXPECT_GT(fp.logWraps, 0u);
+            EXPECT_GT(g.logWraps, 0u);
         } else {
-            EXPECT_EQ(fp.logWraps, 0u);
+            EXPECT_EQ(g.logWraps, 0u);
         }
         bool split = spec.partitions || spec.shards > 1;
         if (split) {
-            EXPECT_EQ(fp.regionsWithRecords, 4u);
+            EXPECT_EQ(g.regionsWithRecords, 4u);
         }
         EXPECT_EQ(fp.regionSummaries, split ? 4u : 0u);
-
-        const Golden *g = goldenFor(spec.name);
-        if (!g || g->report != fp.reportHash || g->image != fp.image ||
-            g->writes != fp.writes) {
-            ADD_FAILURE() << "fingerprint drift\n  report: " << fp.report
-                          << "\n  row:\n" << tableRow(spec.name, fp);
-        }
+        expectPinned(spec.name, fp);
     }
+}
+
+// Recovery reuses a thread's last log analysis while the metadata
+// bytes match. Whether the analysis is fresh on a new thread, reused,
+// or recomputed after another image's, every fingerprint stays pinned.
+TEST(RecoveryGolden, AnalysisReuseKeepsFingerprints)
+{
+    const std::vector<GoldenImage> &all = goldenImages();
+    for (std::size_t i = 0; i < all.size(); ++i) {
+        const GoldenImage &g = all[i];
+        SCOPED_TRACE(g.spec->name);
+        expectPinned(g.spec->name, recoverCold(g.image, g.map, *g.spec));
+
+        analyzeOnly(g.image, g.map);
+        std::uint64_t reused = persist::Recovery::analysesReused();
+        expectPinned(g.spec->name, recoverImage(g));
+        EXPECT_EQ(persist::Recovery::analysesReused(), reused + 1)
+            << "the second pass over the same bytes analyzed again";
+
+        const GoldenImage &next = all[(i + 1) % all.size()];
+        analyzeOnly(next.image, next.map);
+        reused = persist::Recovery::analysesReused();
+        expectPinned(g.spec->name, recoverImage(g));
+        EXPECT_EQ(persist::Recovery::analysesReused(), reused);
+    }
+}
+
+TEST(RecoveryGolden, AnalysisSeesOneFlippedSlotByte)
+{
+    const GoldenImage &g = goldenImage("fwb-1r");
+    mem::BackingStore img = g.image;
+    const persist::RecoveryReport before = persist::Recovery::run(img, g.map);
+    // Flip a byte of the stored CRC of a valid slot.
+    mem::BackingStore flipped = g.image;
+    const Addr crc = firstValidSlot(g) + 12;
+    std::uint8_t b = 0;
+    flipped.read(crc, 1, &b);
+    b ^= 0xff;
+    flipped.write(crc, 1, &b);
+    persist::RecoveryReport after = persist::Recovery::run(flipped, g.map);
+    EXPECT_EQ(after.crcFailSlots, before.crcFailSlots + 1);
+    EXPECT_EQ(after.firstBadSlotAddr, crc - 12);
+}
+
+// The remap table and the spare lines are part of what the scan reads
+// (a remapped log line's bytes live at its spare), so a change to
+// either between two passes must reach the second pass's analysis.
+TEST(RecoveryGolden, AnalysisSeesRemapTableAndSpareChanges)
+{
+    const GoldenImage &g = goldenImage("fwb-1r-remap");
+    const ImageSpec &spec = *g.spec;
+    const Addr slot = firstValidSlot(g);
+    const Addr line = slot & ~Addr{mem::RemapTable::kLineBytes - 1};
+    auto remapLine = [&](mem::BackingStore &img, bool copyLine) {
+        mem::RemapTable table(g.map.remapBase(), g.map.remapSize,
+                              g.map.spareBase(), g.map.spareSize);
+        table.load(img);
+        std::optional<Addr> spare = table.add(line);
+        EXPECT_TRUE(spare.has_value());
+        if (copyLine) {
+            std::uint8_t buf[mem::RemapTable::kLineBytes];
+            img.read(line, sizeof(buf), buf);
+            img.write(*spare, sizeof(buf), buf);
+        }
+        table.persist([&img](Addr a, std::uint64_t n, const void *d) {
+            img.write(a, n, d);
+        });
+        return *spare;
+    };
+
+    // A new mapping onto a zero spare line: the log line reads as
+    // empty slots now.
+    Fingerprint base = recoverImage(g);
+    mem::BackingStore mapped = g.image;
+    remapLine(mapped, false);
+    Fingerprint seen = recoverImage(mapped, g.map, spec);
+    EXPECT_NE(seen.report, base.report);
+    EXPECT_EQ(seen.report, recoverCold(mapped, g.map, spec).report);
+
+    // A mapping onto a copy of the line, then one flipped CRC byte in
+    // the spare copy only: the log area and the table stay as they
+    // were, and the second pass still counts the damaged slot.
+    mem::BackingStore copied = g.image;
+    const Addr spare = remapLine(copied, true);
+    mem::BackingStore img = copied;
+    const persist::RecoveryReport clean = persist::Recovery::run(img, g.map);
+    const Addr crc = spare + (slot - line) + 12;
+    std::uint8_t b = 0;
+    copied.read(crc, 1, &b);
+    b ^= 0xff;
+    copied.write(crc, 1, &b);
+    persist::RecoveryReport damaged = persist::Recovery::run(copied, g.map);
+    EXPECT_EQ(damaged.crcFailSlots, clean.crcFailSlots + 1);
+}
+
+TEST(RecoveryGolden, AnalysisFollowsIgnoreCrcFlag)
+{
+    const GoldenImage &g = goldenImage("fwb-1r-faulted");
+    const Fingerprint checked = recoverImage(g);
+    const Fingerprint trusting = recoverImage(g.image, g.map, *g.spec, true);
+    EXPECT_NE(trusting.report, checked.report);
+    expectPinned(g.spec->name, recoverImage(g));
 }

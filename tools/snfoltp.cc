@@ -31,9 +31,11 @@
  *                        ("-" = stdout) instead of the table
  *
  * Every value flag also accepts --flag=value. All counts are strict:
- * a malformed or zero value is a hard error, never a silent default.
+ * a malformed or zero value is a hard error, never a silent default;
+ * so is an infinite --oltp-seconds.
  */
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -71,6 +73,10 @@ parsePositiveSecondsFlag(const char *flag, const char *value)
         fatal("%s needs a number, got '%s'", flag, value);
     if (!(s > 0.0))
         fatal("%s needs a positive duration, got '%s'", flag, value);
+    // inf (or 1e999, which strtod overflows to inf) would keep the
+    // repeat loop going forever.
+    if (!std::isfinite(s))
+        fatal("%s needs a finite duration, got '%s'", flag, value);
     return s;
 }
 
