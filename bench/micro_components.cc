@@ -1,9 +1,9 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the simulator's hot components:
- * event queue scheduling, PRNG, cache lookup/install, device access,
- * log record serialization, and end-to-end simulated transactions
- * per host-second.
+ * PRNG, cache lookup/install, device access, log record
+ * serialization, and end-to-end simulated transactions per
+ * host-second.
  */
 
 #include <benchmark/benchmark.h>
@@ -12,7 +12,6 @@
 #include "mem/cache.hh"
 #include "mem/mem_device.hh"
 #include "persist/log_record.hh"
-#include "sim/event_queue.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
 #include "workloads/driver.hh"
@@ -21,23 +20,6 @@ using namespace snf;
 
 namespace
 {
-
-void
-BM_EventQueue(benchmark::State &state)
-{
-    sim::EventQueue q;
-    Tick now = 0;
-    std::uint64_t fired = 0;
-    for (auto _ : state) {
-        for (int i = 0; i < 64; ++i)
-            q.schedule(now + 1 + (i * 7) % 32,
-                       [&](Tick) { ++fired; });
-        now += 32;
-        q.runUntil(now);
-    }
-    benchmark::DoNotOptimize(fired);
-}
-BENCHMARK(BM_EventQueue);
 
 void
 BM_Rng(benchmark::State &state)

@@ -1,15 +1,9 @@
 /**
  * @file
- * google-benchmark microbenchmarks of the simulator tick machinery
- * after the hot-path overhaul: the calendar event queue (near-future
- * bucket ring, far-future overflow heap, same-tick FIFO merge,
- * reschedule-from-callback), the small-buffer callback (inline vs
- * heap-spilled captures), queue clear/reuse between runs, the
- * idle-tick skip probe, and the cache tag-array lookup fast path.
- *
- * Deterministic counters (allocations per scheduled event, heap
- * spills) are exported as benchmark counters so the perf-smoke lane
- * can gate on them without trusting wall-clock.
+ * google-benchmark microbenchmarks of the simulator tick machinery:
+ * the event queue (near and far scheduling, same-tick FIFO drain,
+ * reschedule-from-callback), the idle-tick skip probe, and the cache
+ * tag-array lookup fast path.
  */
 
 #include <benchmark/benchmark.h>
@@ -19,16 +13,15 @@
 #include "mem/cache.hh"
 #include "sim/event_queue.hh"
 #include "sim/rng.hh"
-#include "sim/small_callback.hh"
 
 using namespace snf;
 
 namespace
 {
 
-/// Near-future scheduling: every event lands in the bucket ring.
+/// Near-future scheduling: 64 events within the next 32 ticks.
 void
-BM_CalendarRing(benchmark::State &state)
+BM_EventQueueNear(benchmark::State &state)
 {
     sim::EventQueue q;
     Tick now = 0;
@@ -41,19 +34,13 @@ BM_CalendarRing(benchmark::State &state)
         q.runUntil(now);
     }
     benchmark::DoNotOptimize(fired);
-    state.counters["alloc_per_event"] = benchmark::Counter(
-        static_cast<double>(q.statCallbackHeapAllocs()) /
-        static_cast<double>(q.statScheduled() ? q.statScheduled() : 1));
-    state.counters["heap_spill_frac"] = benchmark::Counter(
-        static_cast<double>(q.statHeapSpills()) /
-        static_cast<double>(q.statScheduled() ? q.statScheduled() : 1));
 }
-BENCHMARK(BM_CalendarRing);
+BENCHMARK(BM_EventQueueNear);
 
-/// Far-future scheduling: every event overflows to the heap, then
-/// drains through the merged (tick, seq) pop path.
+/// Far-future scheduling: 64 events thousands of ticks out, the
+/// FWB-scan distance.
 void
-BM_CalendarHeapSpill(benchmark::State &state)
+BM_EventQueueFar(benchmark::State &state)
 {
     sim::EventQueue q;
     Tick now = 0;
@@ -66,15 +53,12 @@ BM_CalendarHeapSpill(benchmark::State &state)
         q.runUntil(now);
     }
     benchmark::DoNotOptimize(fired);
-    state.counters["heap_spill_frac"] = benchmark::Counter(
-        static_cast<double>(q.statHeapSpills()) /
-        static_cast<double>(q.statScheduled() ? q.statScheduled() : 1));
 }
-BENCHMARK(BM_CalendarHeapSpill);
+BENCHMARK(BM_EventQueueFar);
 
-/// Many events on one tick: exercises the per-bucket FIFO drain.
+/// Many events on one tick: exercises the same-tick FIFO drain.
 void
-BM_CalendarSameTickFifo(benchmark::State &state)
+BM_EventQueueSameTickFifo(benchmark::State &state)
 {
     sim::EventQueue q;
     Tick now = 0;
@@ -87,13 +71,13 @@ BM_CalendarSameTickFifo(benchmark::State &state)
     }
     benchmark::DoNotOptimize(fired);
 }
-BENCHMARK(BM_CalendarSameTickFifo);
+BENCHMARK(BM_EventQueueSameTickFifo);
 
 /// A periodic self-rescheduling event (the LogScrubber/FwbEngine
 /// pattern): each callback schedules its successor from inside the
 /// drain loop.
 void
-BM_CalendarReschedule(benchmark::State &state)
+BM_EventQueueReschedule(benchmark::State &state)
 {
     sim::EventQueue q;
     Tick now = 0;
@@ -116,58 +100,7 @@ BM_CalendarReschedule(benchmark::State &state)
     }
     benchmark::DoNotOptimize(fired);
 }
-BENCHMARK(BM_CalendarReschedule);
-
-/// Inline-capture callback: construct + invoke, no heap traffic.
-void
-BM_SmallCallbackInline(benchmark::State &state)
-{
-    std::uint64_t acc = 0;
-    for (auto _ : state) {
-        sim::SmallCallback cb([&acc](Tick t) { acc += t; });
-        benchmark::DoNotOptimize(cb.onHeap()); // false: 8-byte capture
-        cb(7);
-    }
-    benchmark::DoNotOptimize(acc);
-}
-BENCHMARK(BM_SmallCallbackInline);
-
-/// Oversized capture: spills to the heap (the slow path the queue's
-/// allocations-per-event counter tracks).
-void
-BM_SmallCallbackHeapSpill(benchmark::State &state)
-{
-    std::uint64_t acc = 0;
-    struct Big
-    {
-        std::uint64_t pad[16];
-    };
-    Big big{};
-    for (auto _ : state) {
-        sim::SmallCallback cb(
-            [&acc, big](Tick t) { acc += t + big.pad[0]; });
-        benchmark::DoNotOptimize(cb.onHeap()); // true: 136-byte capture
-        cb(7);
-    }
-    benchmark::DoNotOptimize(acc);
-}
-BENCHMARK(BM_SmallCallbackHeapSpill);
-
-/// clear() between runs: O(pending) teardown with capacity retained,
-/// the harness reuse pattern (one queue, many simulations).
-void
-BM_QueueClearReuse(benchmark::State &state)
-{
-    sim::EventQueue q;
-    std::uint64_t fired = 0;
-    for (auto _ : state) {
-        for (int i = 0; i < 128; ++i)
-            q.schedule(1 + (i % 64), [&fired](Tick) { ++fired; });
-        q.clear();
-    }
-    benchmark::DoNotOptimize(fired);
-}
-BENCHMARK(BM_QueueClearReuse);
+BENCHMARK(BM_EventQueueReschedule);
 
 /// The scheduler's idle-skip probe: nextEventTick() on a queue with a
 /// single far-future event must be O(1), not a scan.

@@ -1,6 +1,8 @@
 #include "core/fault_flags.hh"
 
 #include <algorithm>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 
@@ -9,16 +11,50 @@
 namespace snf
 {
 
+bool
+tryParseCount(const char *value, std::uint64_t *out)
+{
+    // strtoull accepts a sign and wraps "-1" to 2^64-1, and clamps
+    // an overflowing value to 2^64-1; a count has neither.
+    char *end = nullptr;
+    errno = 0;
+    std::uint64_t n = std::strtoull(value, &end, 0);
+    if (end == value || *end != '\0' || errno == ERANGE ||
+        std::strpbrk(value, "+-"))
+        return false;
+    *out = n;
+    return true;
+}
+
+bool
+tryParseReal(const char *value, double *out)
+{
+    // strtod reads "nan" and "inf" (and overflows "1e999" to inf);
+    // no flag means any of them.
+    char *end = nullptr;
+    double x = std::strtod(value, &end);
+    if (end == value || *end != '\0' || !std::isfinite(x))
+        return false;
+    *out = x;
+    return true;
+}
+
 std::uint64_t
 parseCountFlag(const char *flag, const char *value)
 {
-    // strtoull accepts a sign and wraps "-1" to 2^64-1; a count has
-    // no sign, so that is garbage too.
-    char *end = nullptr;
-    std::uint64_t n = std::strtoull(value, &end, 0);
-    if (end == value || *end != '\0' || std::strchr(value, '-'))
+    std::uint64_t n = 0;
+    if (!tryParseCount(value, &n))
         fatal("%s needs a number, got '%s'", flag, value);
     return n;
+}
+
+double
+parseRealFlag(const char *flag, const char *value)
+{
+    double x = 0.0;
+    if (!tryParseReal(value, &x))
+        fatal("%s needs a number, got '%s'", flag, value);
+    return x;
 }
 
 std::uint32_t
@@ -39,21 +75,6 @@ parsePositiveCountFlag(const char *flag, const char *value)
         fatal("%s needs a count >= 1, got '%s'", flag, value);
     return n;
 }
-
-namespace
-{
-
-double
-parseRealFlag(const char *flag, const char *value)
-{
-    char *end = nullptr;
-    double x = std::strtod(value, &end);
-    if (end == value || *end != '\0')
-        fatal("%s needs a number, got '%s'", flag, value);
-    return x;
-}
-
-} // namespace
 
 double
 parseOpenUnitFlag(const char *flag, const char *value)
@@ -130,12 +151,19 @@ FaultFlagSet::consume(const std::vector<std::string> &args,
                 tok.compare(0, flag.size(), flag) == 0 &&
                 tok[flag.size()] == '=');
     };
+    auto notANumber = [err](const std::string &flag,
+                            const std::string &v) {
+        if (err)
+            *err = flag + " needs a number, got '" + v + "'";
+        return FlagParse::Error;
+    };
 
     if (seedTarget && matches(seedFlag)) {
         std::string v;
         if (!takeValue(args, i, seedFlag, v, err))
             return FlagParse::Error;
-        *seedTarget = std::strtoull(v.c_str(), nullptr, 0);
+        if (!tryParseCount(v.c_str(), seedTarget))
+            return notANumber(seedFlag, v);
         return FlagParse::Ok;
     }
 
@@ -175,7 +203,9 @@ FaultFlagSet::consume(const std::vector<std::string> &args,
         std::string v;
         if (!takeValue(args, i, rf.flag, v, err))
             return FlagParse::Error;
-        double rate = std::strtod(v.c_str(), nullptr);
+        double rate = 0.0;
+        if (!tryParseReal(v.c_str(), &rate))
+            return notANumber(rf.flag, v);
         if (rate < 0.0 || rate > 1.0) {
             if (err)
                 *err = rf.flag + " " + v +

@@ -22,11 +22,20 @@ namespace snf
 {
 
 /**
- * Strict unsigned flag-value parse shared by the tools: the whole
- * value must be a number (base prefix allowed); empty values, signs
- * and trailing garbage are fatal with a diagnostic naming the flag.
+ * The strict number rule every flag parser shares, without exiting:
+ * the whole value must parse, a count takes a base prefix but no
+ * sign, and a real must be finite. Otherwise return false and leave
+ * @p out alone.
+ */
+bool tryParseCount(const char *value, std::uint64_t *out);
+bool tryParseReal(const char *value, double *out);
+
+/**
+ * Strict flag-value parses shared by the tools: the tryParseCount /
+ * tryParseReal rule, fatal() with a diagnostic naming the flag.
  */
 std::uint64_t parseCountFlag(const char *flag, const char *value);
+double parseRealFlag(const char *flag, const char *value);
 
 /**
  * Parse a --log-shards value: a strict count that must additionally
@@ -46,16 +55,15 @@ std::uint64_t parsePositiveCountFlag(const char *flag,
 /**
  * Strict real value that must lie strictly inside (0, 1) — Zipf skew
  * exponents and similar open-unit parameters where 0 degenerates to
- * uniform and 1 is outside the distribution's validity range. The
- * whole value must parse; fatal() with a diagnostic naming the flag
- * otherwise.
+ * uniform and 1 is outside the distribution's validity range.
+ * fatal() with a diagnostic naming the flag otherwise.
  */
 double parseOpenUnitFlag(const char *flag, const char *value);
 
 /**
  * Strict real value in the closed unit interval [0, 1] —
- * probabilities such as conflict and load rates. The whole value
- * must parse; fatal() with a diagnostic naming the flag otherwise.
+ * probabilities such as conflict and load rates. fatal() with a
+ * diagnostic naming the flag otherwise.
  */
 double parseUnitFlag(const char *flag, const char *value);
 
@@ -70,7 +78,8 @@ enum class FlagParse
 /**
  * A family of fault flags over double rate fields, an integer seed,
  * and named presets that assign several rates at once. Flags accept
- * both `--flag value` and `--flag=value` spellings.
+ * both `--flag value` and `--flag=value` spellings, and their values
+ * follow the tryParseCount / tryParseReal rule.
  *
  * Ordering contract (enforced):
  *  - a preset flag must precede every explicit rate flag, because it

@@ -2,12 +2,14 @@
  * @file
  * Tests for the shared fault-flag CLI parser (core/fault_flags.hh):
  * the preset/explicit-rate ordering contract, the contradiction
- * diagnostics, the seed exemption, and both flag spellings.
+ * diagnostics, the seed exemption, both flag spellings, and the
+ * strict count/real rule it shares with the other flag parsers.
  */
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/fault_flags.hh"
@@ -155,6 +157,27 @@ TEST(FaultFlags, OutOfRangeRateIsAnError)
     EXPECT_NE(err.find("probability"), std::string::npos);
 }
 
+TEST(FaultFlags, MalformedValueIsAnError)
+{
+    // strtod/strtoull without an end check read "0.5x" as 0.5 and
+    // "abc" as 0, let nan past the range check, and wrapped "-1".
+    const std::pair<const char *, const char *> cases[] = {
+        {"--fault-bitflip", "nan"}, {"--fault-bitflip", "inf"},
+        {"--fault-bitflip", "0.5x"}, {"--fault-bitflip", "abc"},
+        {"--fault-seed", "abc"},     {"--fault-seed", "-1"},
+        {"--fault-seed", "7x"},      {"--fault-seed", ""}};
+    for (const auto &[flag, v] : cases) {
+        Fixture f;
+        std::string err;
+        EXPECT_EQ(f.parse({flag, v}, &err), FlagParse::Error)
+            << flag << " " << v;
+        EXPECT_EQ(err, std::string(flag) + " needs a number, got '" +
+                           v + "'");
+        EXPECT_DOUBLE_EQ(f.bitFlip, 0.0);
+        EXPECT_EQ(f.seed, 1u);
+    }
+}
+
 TEST(FaultFlags, MissingValueIsAnError)
 {
     Fixture f;
@@ -197,6 +220,13 @@ TEST(CountFlagDeathTest, RejectsGarbageWithDiagnostic)
     EXPECT_EXIT(parseCountFlag("--jobs", "-1"),
                 ::testing::ExitedWithCode(1),
                 "--jobs needs a number, got '-1'");
+    EXPECT_EXIT(parseCountFlag("--jobs", "+4"),
+                ::testing::ExitedWithCode(1),
+                "--jobs needs a number, got '\\+4'");
+    // strtoull would clamp this to 2^64-1.
+    EXPECT_EXIT(parseCountFlag("--jobs", "18446744073709551616"),
+                ::testing::ExitedWithCode(1),
+                "--jobs needs a number, got '18446744073709551616'");
 }
 
 TEST(LogShardsFlag, AcceptsTheFullMaskRange)
@@ -299,7 +329,10 @@ TEST(UnitFlagDeathTest, RejectsOutOfRangeAndGarbage)
                 "--conflict-rate needs a probability in \\[0,1\\]");
     EXPECT_EXIT(parseUnitFlag("--load-rate", "nan"),
                 ::testing::ExitedWithCode(1),
-                "--load-rate needs a probability in \\[0,1\\]");
+                "--load-rate needs a number, got 'nan'");
+    EXPECT_EXIT(parseUnitFlag("--load-rate", "1e999"),
+                ::testing::ExitedWithCode(1),
+                "--load-rate needs a number, got '1e999'");
     EXPECT_EXIT(parseUnitFlag("--load-rate", "0.5x"),
                 ::testing::ExitedWithCode(1),
                 "--load-rate needs a number, got '0.5x'");

@@ -16,7 +16,6 @@
 
 #include "sim/coro.hh"
 #include "sim/event_queue.hh"
-#include "sim/small_callback.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
 #include "sim/stats.hh"
@@ -62,17 +61,6 @@ TEST(EventQueue, CallbackMayReschedule)
     EXPECT_TRUE(q.empty());
 }
 
-TEST(EventQueue, ClearDropsEverything)
-{
-    EventQueue q;
-    int fired = 0;
-    q.schedule(1, [&](Tick) { ++fired; });
-    q.clear();
-    q.runUntil(100);
-    EXPECT_EQ(fired, 0);
-    EXPECT_EQ(q.nextEventTick(), kTickNever);
-}
-
 TEST(EventQueue, EventsReceiveTheirScheduledTick)
 {
     EventQueue q;
@@ -86,9 +74,9 @@ namespace
 {
 
 /**
- * Reference model of the pre-calendar event queue: one binary heap
- * ordered by (tick, insertion seq). The calendar queue must replay
- * any schedule trace in exactly this order.
+ * Independent reference model of the event order: one binary heap
+ * ordered by (tick, insertion seq). EventQueue must replay any
+ * schedule trace in exactly this order.
  */
 class ReferenceHeapQueue
 {
@@ -135,11 +123,11 @@ class ReferenceHeapQueue
 } // namespace
 
 /**
- * Differential test: drive the calendar queue and the reference heap
- * with an identical randomized schedule trace — near-ring ticks,
- * far-future heap spills, same-tick bursts, past-tick schedules, and
- * events that schedule more events from inside their callbacks — and
- * require the execution orders to match element for element.
+ * Differential test: drive EventQueue and the reference heap with an
+ * identical randomized schedule trace — near ticks, far-future ticks,
+ * same-tick bursts, past-tick schedules, and events that schedule
+ * more events from inside their callbacks — and require the execution
+ * orders to match element for element.
  */
 TEST(EventQueue, MatchesReferenceHeapOrderOnRandomTraces)
 {
@@ -159,8 +147,8 @@ TEST(EventQueue, MatchesReferenceHeapOrderOnRandomTraces)
         auto spawn = [](auto &queue, auto &rng, auto &got, int &id,
                         Tick base, auto &&self) -> void {
             int me = id++;
-            // Mix of ring-span offsets, same-tick, far-future heap
-            // spills, and occasional already-past ticks.
+            // Mix of near offsets, same-tick, far-future, and
+            // occasional already-past ticks.
             std::uint64_t kind = rng.below(8);
             Tick when = base;
             if (kind < 4)
@@ -201,84 +189,16 @@ TEST(EventQueue, MatchesReferenceHeapOrderOnRandomTraces)
     }
 }
 
-TEST(EventQueue, ClearRetainsAQueueReusableBetweenRuns)
-{
-    // The harness pattern: one queue, many simulations. clear() must
-    // drop pending events, reset the tick origin and stat counters,
-    // and leave the queue fully usable for a new run starting at 0.
-    EventQueue q;
-    std::vector<Tick> fired;
-    for (int run = 0; run < 3; ++run) {
-        for (Tick t : {5u, 2000u, 7u})
-            q.schedule(t, [&](Tick when) { fired.push_back(when); });
-        q.schedule(100000, [&](Tick) { fired.push_back(999999); });
-        EXPECT_EQ(q.size(), 4u);
-        q.runUntil(2000);
-        EXPECT_EQ(fired, (std::vector<Tick>{5, 7, 2000}));
-        fired.clear();
-
-        q.clear();
-        EXPECT_TRUE(q.empty());
-        EXPECT_EQ(q.nextEventTick(), kTickNever);
-        EXPECT_EQ(q.statScheduled(), 0u);
-        EXPECT_EQ(q.statExecuted(), 0u);
-        EXPECT_EQ(q.statHeapSpills(), 0u);
-        EXPECT_EQ(q.statCallbackHeapAllocs(), 0u);
-    }
-}
-
 TEST(EventQueue, CountsSchedulingActivity)
 {
     EventQueue q;
     int fired = 0;
-    q.schedule(1, [&](Tick) { ++fired; });       // ring
-    q.schedule(5000, [&](Tick) { ++fired; });    // heap spill
+    q.schedule(1, [&](Tick) { ++fired; });
+    q.schedule(5000, [&](Tick) { ++fired; });
     q.runUntil(10000);
     EXPECT_EQ(fired, 2);
     EXPECT_EQ(q.statScheduled(), 2u);
     EXPECT_EQ(q.statExecuted(), 2u);
-    EXPECT_EQ(q.statHeapSpills(), 1u);
-    // Both captures fit the small-buffer callback inline.
-    EXPECT_EQ(q.statCallbackHeapAllocs(), 0u);
-}
-
-TEST(SmallCallback, InlineCaptureStaysOffTheHeap)
-{
-    std::uint64_t acc = 0;
-    SmallCallback cb([&acc](Tick t) { acc += t; });
-    EXPECT_FALSE(cb.onHeap());
-    cb(7);
-    cb(8);
-    EXPECT_EQ(acc, 15u);
-}
-
-TEST(SmallCallback, OversizedCaptureSpillsToHeapAndStillRuns)
-{
-    struct Big
-    {
-        std::uint64_t pad[16];
-    };
-    Big big{};
-    big.pad[0] = 5;
-    std::uint64_t acc = 0;
-    SmallCallback cb([&acc, big](Tick t) { acc += t + big.pad[0]; });
-    EXPECT_TRUE(cb.onHeap());
-    cb(10);
-    EXPECT_EQ(acc, 15u);
-}
-
-TEST(SmallCallback, MovePreservesTheCallable)
-{
-    std::uint64_t acc = 0;
-    SmallCallback a([&acc](Tick t) { acc += t; });
-    SmallCallback b = std::move(a);
-    EXPECT_FALSE(a); // moved-from is empty
-    EXPECT_TRUE(b);
-    b(3);
-    SmallCallback c;
-    c = std::move(b);
-    c(4);
-    EXPECT_EQ(acc, 7u);
 }
 
 TEST(Rng, Deterministic)

@@ -35,7 +35,6 @@
  * so is an infinite --oltp-seconds.
  */
 
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -67,16 +66,11 @@ usage()
 double
 parsePositiveSecondsFlag(const char *flag, const char *value)
 {
-    char *end = nullptr;
-    double s = std::strtod(value, &end);
-    if (end == value || *end != '\0')
-        fatal("%s needs a number, got '%s'", flag, value);
+    // parseRealFlag rejects inf, which would keep the repeat loop
+    // going forever.
+    double s = parseRealFlag(flag, value);
     if (!(s > 0.0))
         fatal("%s needs a positive duration, got '%s'", flag, value);
-    // inf (or 1e999, which strtod overflows to inf) would keep the
-    // repeat loop going forever.
-    if (!std::isfinite(s))
-        fatal("%s needs a finite duration, got '%s'", flag, value);
     return s;
 }
 

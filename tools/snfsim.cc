@@ -174,8 +174,6 @@ runBenchMatrix(const RunSpec &base, bool paper, std::uint64_t repeats,
                     if (o.stats.cycles != s.cycles ||
                         o.stats.eventsScheduled != s.eventsScheduled ||
                         o.stats.eventsExecuted != s.eventsExecuted ||
-                        o.stats.callbackHeapAllocs !=
-                            s.callbackHeapAllocs ||
                         o.stats.journalEntries != s.journalEntries)
                         fatal("bench cell %s/%s not deterministic "
                               "across repeats",
@@ -186,11 +184,6 @@ runBenchMatrix(const RunSpec &base, bool paper, std::uint64_t repeats,
                 fatal("bench cell %s/%s failed verification", w,
                       persistModeName(m));
 
-            double allocsPerEvent =
-                s.eventsScheduled == 0
-                    ? 0.0
-                    : static_cast<double>(s.callbackHeapAllocs) /
-                          static_cast<double>(s.eventsScheduled);
             out << (firstCell ? "\n" : ",\n");
             firstCell = false;
             out << "    {\n";
@@ -207,10 +200,6 @@ runBenchMatrix(const RunSpec &base, bool paper, std::uint64_t repeats,
                 << s.eventsScheduled << ",\n";
             out << "        \"events_executed\": " << s.eventsExecuted
                 << ",\n";
-            out << "        \"event_heap_spills\": "
-                << s.eventHeapSpills << ",\n";
-            out << "        \"callback_heap_allocs\": "
-                << s.callbackHeapAllocs << ",\n";
             out << "        \"journal_entries\": " << s.journalEntries
                 << "\n";
             out << "      },\n";
@@ -226,8 +215,6 @@ runBenchMatrix(const RunSpec &base, bool paper, std::uint64_t repeats,
                         ? static_cast<double>(s.eventsExecuted) /
                               bestSec
                         : 0.0)
-                << ",\n";
-            out << "        \"allocs_per_event\": " << allocsPerEvent
                 << "\n";
             out << "      }\n";
             out << "    }";
