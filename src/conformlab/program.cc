@@ -2,8 +2,10 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
+#include "core/flag_table.hh"
 #include "sim/logging.hh"
 
 namespace snf::conformlab
@@ -78,12 +80,22 @@ fail(std::string *err, std::size_t lineNo, const std::string &what)
     return false;
 }
 
+/**
+ * Read the next word as a strict count (tryParseCount: no sign, no
+ * trailing garbage, no overflow) that fits @p out's type. istream >>
+ * would read "-4294967295" into a uint32_t as 1 and stop at "2x".
+ */
+template <typename T>
 bool
-parseValue(const std::string &text, std::uint64_t *out)
+readCount(std::istream &in, T *out)
 {
-    char *endp = nullptr;
-    *out = std::strtoull(text.c_str(), &endp, 0);
-    return endp != text.c_str() && *endp == '\0';
+    std::string word;
+    std::uint64_t n = 0;
+    if (!(in >> word) || !tryParseCount(word.c_str(), &n) ||
+        n > std::numeric_limits<T>::max())
+        return false;
+    *out = static_cast<T>(n);
+    return true;
 }
 
 } // namespace
@@ -107,7 +119,7 @@ parseProgram(const std::string &text, Program *out, std::string *err)
         if (sawEnd)
             return fail(err, lineNo, "content after 'end'");
         if (version == 0) {
-            if (word != "snfprog" || !(ls >> version) ||
+            if (word != "snfprog" || !readCount(ls, &version) ||
                 (version != 1 && version != 2))
                 return fail(err, lineNo,
                             "expected 'snfprog 1' or 'snfprog 2' "
@@ -115,26 +127,28 @@ parseProgram(const std::string &text, Program *out, std::string *err)
             continue;
         }
         if (word == "threads") {
-            if (!(ls >> p.threads) || p.threads == 0 ||
+            if (!readCount(ls, &p.threads) || p.threads == 0 ||
                 p.threads > 64)
                 return fail(err, lineNo, "bad thread count");
         } else if (word == "slots") {
-            if (!(ls >> p.slotsPerThread) || p.slotsPerThread == 0)
+            if (!readCount(ls, &p.slotsPerThread) ||
+                p.slotsPerThread == 0)
                 return fail(err, lineNo, "bad slots-per-thread");
         } else if (word == "shared") {
             if (version < 2)
                 return fail(err, lineNo,
                             "'shared' needs a format-2 header");
-            if (!(ls >> p.sharedSlots) || p.sharedSlots == 0 ||
+            if (!readCount(ls, &p.sharedSlots) || p.sharedSlots == 0 ||
                 p.sharedSlots > 4096)
                 return fail(err, lineNo, "bad shared slot count");
         } else if (word == "seed") {
-            if (!(ls >> p.seed))
+            if (!readCount(ls, &p.seed))
                 return fail(err, lineNo, "bad seed");
         } else if (word == "tx") {
             ProgTx tx;
             std::string outcome;
-            if (!(ls >> tx.thread >> outcome >> tx.delay))
+            if (!readCount(ls, &tx.thread) || !(ls >> outcome) ||
+                !readCount(ls, &tx.delay))
                 return fail(err, lineNo,
                             "expected 'tx THREAD commit|abort DELAY'");
             if (tx.thread >= p.threads)
@@ -150,7 +164,7 @@ parseProgram(const std::string &text, Program *out, std::string *err)
                 return fail(err, lineNo, "store before any tx");
             ProgOp op;
             std::string value;
-            if (!(ls >> op.slot >> value))
+            if (!readCount(ls, &op.slot) || !(ls >> value))
                 return fail(err, lineNo,
                             "expected '" + word + " SLOT VALUE'");
             if (word == "sstore") {
@@ -164,7 +178,7 @@ parseProgram(const std::string &text, Program *out, std::string *err)
             } else if (op.slot >= p.slotsPerThread) {
                 return fail(err, lineNo, "store slot out of range");
             }
-            if (!parseValue(value, &op.value))
+            if (!tryParseCount(value.c_str(), &op.value))
                 return fail(err, lineNo, "bad store value");
             p.txs.back().ops.push_back(op);
         } else if (word == "load" || word == "sload") {
@@ -174,7 +188,7 @@ parseProgram(const std::string &text, Program *out, std::string *err)
             if (p.txs.empty())
                 return fail(err, lineNo, "load before any tx");
             ProgOp op;
-            if (!(ls >> op.slot))
+            if (!readCount(ls, &op.slot))
                 return fail(err, lineNo,
                             "expected '" + word + " SLOT'");
             if (word == "sload") {

@@ -207,6 +207,10 @@ enum class LogFullPolicy
 /** Printable name of a LogFullPolicy. */
 const char *logFullPolicyName(LogFullPolicy policy);
 
+inline constexpr LogFullPolicy kAllLogFullPolicies[] = {
+    LogFullPolicy::Reclaim, LogFullPolicy::Stall,
+    LogFullPolicy::AbortRetry};
+
 /**
  * Concurrency control over shared transactional data (the tx_load64 /
  * tx_store64 thread API). The paper's evaluation keeps transaction
@@ -241,6 +245,9 @@ enum class CcMode
 
 /** Printable name of a CcMode. */
 const char *ccModeName(CcMode mode);
+
+inline constexpr CcMode kAllCcModes[] = {CcMode::TwoPhase, CcMode::Tl2,
+                                         CcMode::None};
 
 /** Persistence machinery parameters (Sections III and IV). */
 struct PersistConfig

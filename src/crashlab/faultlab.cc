@@ -5,7 +5,7 @@
 #include <cstdio>
 #include <cstring>
 
-#include <optional>
+#include <memory>
 
 #include "mem/fault_model.hh"
 #include "mem/remap_table.hh"
@@ -58,8 +58,9 @@ struct SlotView
     {
         if (map.remapSize == 0)
             return;
-        table.emplace(map.remapBase(), map.remapSize, map.spareBase(),
-                      map.spareSize);
+        table = std::make_unique<mem::RemapTable>(
+            map.remapBase(), map.remapSize, map.spareBase(),
+            map.spareSize);
         table->load(image); // fresh/corrupt loads empty == identity
     }
 
@@ -75,7 +76,9 @@ struct SlotView
         return a;
     }
 
-    std::optional<mem::RemapTable> table;
+    // A pointer, not a std::optional: gcc reports emplace() into an
+    // empty optional as a maybe-uninitialized read of its payload.
+    std::unique_ptr<mem::RemapTable> table;
 };
 
 // Distinct decision streams per slot (mixed into the hash seed).
@@ -87,6 +90,16 @@ constexpr std::uint64_t kSaltBitPos = 0x15;
 constexpr std::uint64_t kSaltBitPos2 = 0x16;
 
 } // namespace
+
+const FaultFlagSet::Rate<ImageFaultConfig> kImageFaultRates[4] = {
+    {"--fault-bitflip", &ImageFaultConfig::bitFlipProb,
+     "image damage: single-bit flip, per log slot"},
+    {"--fault-multibit", &ImageFaultConfig::multiBitProb,
+     "image damage: double-bit flip, per log slot"},
+    {"--fault-drop-slot", &ImageFaultConfig::dropSlotProb,
+     "image damage: lost slot write, per log slot"},
+    {"--fault-torn-slot", &ImageFaultConfig::tornSlotProb,
+     "image damage: torn header word, per log slot"}};
 
 bool
 ImageFaultPlan::damaged(std::uint16_t tx) const

@@ -36,6 +36,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/flag_table.hh"
 #include "crashlab/invariants.hh"
 #include "mem/backing_store.hh"
 
@@ -94,6 +95,9 @@ struct ImageFaultConfig
         return f;
     }
 };
+
+/** The image-damage rate flags of snfcrash and snfsoak. */
+extern const FaultFlagSet::Rate<ImageFaultConfig> kImageFaultRates[4];
 
 /** Exactly what applyImageFaults() damaged, for soundness oracles. */
 struct ImageFaultPlan

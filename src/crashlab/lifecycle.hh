@@ -61,7 +61,7 @@ struct LifecycleConfig
     /** Snapshot damage applied before every recovery (faultlab). */
     ImageFaultConfig imageFaults;
     /**
-     * WILL_FAIL self-test hook: corrupt both remap-table banks of the
+     * Detection self-test hook: corrupt both remap-table banks of the
      * crash image at this generation; the soak must report a
      * remap-table-valid violation and stop. kNoSabotage disables.
      */

@@ -18,9 +18,9 @@ namespace
  * the log's slot CRC, so one hardware CRC unit would serve both.
  */
 std::uint32_t
-crc32(const std::uint8_t *data, std::uint64_t n)
+crc32(const std::uint8_t *data, std::uint64_t n,
+      std::uint32_t crc = 0xffffffffu)
 {
-    std::uint32_t crc = 0xffffffffu;
     for (std::uint64_t i = 0; i < n; ++i) {
         crc ^= data[i];
         for (int b = 0; b < 8; ++b)
@@ -154,19 +154,20 @@ RemapTable::parseBank(const BackingStore &img, std::uint32_t bank,
         n > (bankBytes() - kHeaderBytes) / kEntryBytes)
         return false;
 
-    std::vector<std::uint8_t> buf(kHeaderBytes + n * kEntryBytes);
-    img.read(base, buf.size(), buf.data());
-    std::memset(buf.data() + 40, 0, 4);
-    if (crc32(buf.data(), buf.size()) != crc)
+    // The CRC covers the header with its CRC field zero, then the
+    // entries: continue the header's CRC state over the entry bytes.
+    std::vector<std::uint8_t> buf(n * kEntryBytes);
+    if (n != 0)
+        img.read(base + kHeaderBytes, buf.size(), buf.data());
+    std::memset(hdr + 40, 0, 4);
+    if (crc32(buf.data(), buf.size(), ~crc32(hdr, kHeaderBytes)) != crc)
         return false;
 
     entriesOut.clear();
     for (std::uint64_t i = 0; i < n; ++i) {
         Entry e;
-        std::memcpy(&e.orig, buf.data() + kHeaderBytes +
-                                 i * kEntryBytes, 8);
-        std::memcpy(&e.spare, buf.data() + kHeaderBytes +
-                                  i * kEntryBytes + 8, 8);
+        std::memcpy(&e.orig, buf.data() + i * kEntryBytes, 8);
+        std::memcpy(&e.spare, buf.data() + i * kEntryBytes + 8, 8);
         entriesOut.push_back(e);
     }
     seqOut = seq;

@@ -138,7 +138,7 @@ class RemapTable
 
     /**
      * Test/sabotage helper: overwrite both bank headers with garbage
-     * so load() reports corruption (drives the soak's WILL_FAIL
+     * so load() reports corruption (drives the soak's sabotage
      * detection self-test).
      */
     static void sabotage(BackingStore &img, Addr remapBase,

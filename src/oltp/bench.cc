@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "persist/log_buffer.hh"
+#include "sim/json.hh"
 #include "sim/logging.hh"
 #include "sim/probe.hh"
 
@@ -205,74 +206,68 @@ oltpBenchJson(const OltpMatrixConfig &cfg,
               const std::vector<OltpCellResult> &results)
 {
     std::ostringstream out;
-    out << "{\n";
-    out << "  \"schema\": \"snf-bench-oltp-v1\",\n";
-    out << "  \"tool\": \"snfoltp\",\n";
-    out << "  \"threads\": " << cfg.threads << ",\n";
-    out << "  \"tx_per_thread\": " << cfg.txPerThread << ",\n";
-    out << "  \"seed\": " << cfg.seed << ",\n";
-    out << "  \"warehouses\": " << cfg.warehouses << ",\n";
-    out << "  \"customers\": " << cfg.customers << ",\n";
-    out << "  \"keys\": " << cfg.keys << ",\n";
-    out << "  \"zipf_theta\": " << cfg.zipfTheta << ",\n";
-    out << "  \"log_shards\": " << cfg.logShards << ",\n";
-    out << "  \"cells\": [";
-    bool first = true;
+    JsonWriter w(out);
+    w.object();
+    w.field("schema", "snf-bench-oltp-v1");
+    w.field("tool", "snfoltp");
+    w.field("threads", cfg.threads);
+    w.field("tx_per_thread", cfg.txPerThread);
+    w.field("seed", cfg.seed);
+    w.field("warehouses", cfg.warehouses);
+    w.field("customers", cfg.customers);
+    w.field("keys", cfg.keys);
+    w.field("zipf_theta", cfg.zipfTheta);
+    w.field("log_shards", cfg.logShards);
+    w.array("cells");
     for (const OltpCellResult &r : results) {
-        out << (first ? "\n" : ",\n");
-        first = false;
-        out << "    {\n";
-        out << "      \"workload\": \"" << r.spec.engine << "\",\n";
-        out << "      \"mode\": \"" << persistModeName(r.spec.mode)
-            << "\",\n";
-        out << "      \"cc\": \"" << ccModeName(r.spec.cc) << "\",\n";
-        out << "      \"counters\": {\n";
-        out << "        \"cycles\": " << r.cycles << ",\n";
-        out << "        \"committed_tx\": " << r.committedTx << ",\n";
-        out << "        \"aborted_tx\": " << r.abortedTx << ",\n";
-        out << "        \"instructions\": " << r.instructions
-            << ",\n";
-        out << "        \"retries\": " << r.retries << ",\n";
-        out << "        \"user_aborts\": " << r.userAborts << ",\n";
-        out << "        \"log_records\": " << r.logRecords << ",\n";
-        out << "        \"nvram_writes\": " << r.nvramWrites << ",\n";
-        out << "        \"occ_samples\": " << r.occSamples << ",\n";
-        out << "        \"log_occ_sum\": " << r.logOccSum << ",\n";
-        out << "        \"log_occ_max\": " << r.logOccMax << ",\n";
-        out << "        \"wcb_occ_sum\": " << r.wcbOccSum << ",\n";
-        out << "        \"wcb_occ_max\": " << r.wcbOccMax << ",\n";
-        out << "        \"tx_types\": [";
-        bool firstType = true;
+        w.object();
+        w.field("workload", r.spec.engine);
+        w.field("mode", persistModeName(r.spec.mode));
+        w.field("cc", ccModeName(r.spec.cc));
+        w.object("counters");
+        w.field("cycles", r.cycles);
+        w.field("committed_tx", r.committedTx);
+        w.field("aborted_tx", r.abortedTx);
+        w.field("instructions", r.instructions);
+        w.field("retries", r.retries);
+        w.field("user_aborts", r.userAborts);
+        w.field("log_records", r.logRecords);
+        w.field("nvram_writes", r.nvramWrites);
+        w.field("occ_samples", r.occSamples);
+        w.field("log_occ_sum", r.logOccSum);
+        w.field("log_occ_max", r.logOccMax);
+        w.field("wcb_occ_sum", r.wcbOccSum);
+        w.field("wcb_occ_max", r.wcbOccMax);
+        w.array("tx_types");
         for (const OltpTypeCounters &t : r.types) {
-            out << (firstType ? "\n" : ",\n");
-            firstType = false;
-            out << "          {\"type\": \"" << t.type
-                << "\", \"committed\": " << t.committed
-                << ", \"lat_p50\": " << t.latP50
-                << ", \"lat_p99\": " << t.latP99
-                << ", \"lat_p999\": " << t.latP999
-                << ", \"lat_mean\": " << t.latMean
-                << ", \"lat_max\": " << t.latMax
-                << ", \"lat_sum\": " << t.latSum << "}";
+            w.object(nullptr, true);
+            w.field("type", t.type);
+            w.field("committed", t.committed);
+            w.field("lat_p50", t.latP50);
+            w.field("lat_p99", t.latP99);
+            w.field("lat_p999", t.latP999);
+            w.field("lat_mean", t.latMean);
+            w.field("lat_max", t.latMax);
+            w.field("lat_sum", t.latSum);
+            w.end();
         }
-        out << "\n        ]\n";
-        out << "      },\n";
-        out << "      \"perf\": {\n";
-        out << "        \"wall_sec\": " << r.wallSec << ",\n";
-        out << "        \"setup_sec\": " << r.setupSec << ",\n";
-        out << "        \"run_sec\": " << r.runSec << ",\n";
-        out << "        \"verify_sec\": " << r.verifySec << ",\n";
-        out << "        \"sim_tx_per_sec\": "
-            << (r.wallSec > 0.0
+        w.end();
+        w.end();
+        w.object("perf");
+        w.field("wall_sec", r.wallSec);
+        w.field("setup_sec", r.setupSec);
+        w.field("run_sec", r.runSec);
+        w.field("verify_sec", r.verifySec);
+        w.field("sim_tx_per_sec",
+                r.wallSec > 0.0
                     ? static_cast<double>(r.committedTx) / r.wallSec
-                    : 0.0)
-            << ",\n";
-        out << "        \"repeats\": " << r.repeats << "\n";
-        out << "      }\n";
-        out << "    }";
+                    : 0.0);
+        w.field("repeats", r.repeats);
+        w.end();
+        w.end();
     }
-    out << "\n  ]\n";
-    out << "}\n";
+    w.end();
+    w.end();
     return out.str();
 }
 

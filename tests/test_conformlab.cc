@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "conformlab/diffrun.hh"
 #include "conformlab/oracle.hh"
@@ -94,6 +95,55 @@ TEST(Program, ParseRejectsMalformedDocuments)
                               "seed 0\ntx 0 commit 0\n",
                               &q, &err));
     EXPECT_FALSE(err.empty());
+}
+
+TEST(Program, ParseRejectsSignedOverflowingAndHalfParsedNumbers)
+{
+    // Every numeric field takes the strict count rule: istream >> and
+    // a bare strtoull would read "threads -4294967295" as 1 thread and
+    // "seed -1" as 2^64-1, and stop at the "x" of "2x".
+    const std::vector<std::string> lines = {
+        "snfprog 2",     "threads 2",        "slots 4",  "shared 2",
+        "seed 5",        "tx 1 commit 3",    "  store 1 0xdead",
+        "  load 2",      "  sstore 1 0x1",   "  sload 0", "end"};
+    auto program = [&](std::size_t at, const std::string &line) {
+        std::string text;
+        for (std::size_t i = 0; i < lines.size(); ++i)
+            text += (i == at ? line : lines[i]) + "\n";
+        return text;
+    };
+    Program q;
+    std::string err;
+    ASSERT_TRUE(parseProgram(program(lines.size(), ""), &q, &err))
+        << err;
+    EXPECT_EQ(q.txs[0].ops[0].value, 0xdeadu);
+
+    // (line, prefix, suffix, 64-bit field) around each number.
+    struct Field
+    {
+        std::size_t line;
+        const char *before, *after;
+        bool wide;
+    };
+    const Field fields[] = {
+        {0, "snfprog ", "", false},      {1, "threads ", "", false},
+        {2, "slots ", "", false},        {3, "shared ", "", false},
+        {4, "seed ", "", true},          {5, "tx ", " commit 3", false},
+        {5, "tx 1 commit ", "", false},  {6, "  store ", " 0x1", false},
+        {6, "  store 1 ", "", true},     {7, "  load ", "", false},
+        {8, "  sstore ", " 0x1", false}, {8, "  sstore 1 ", "", true},
+        {9, "  sload ", "", false}};
+    for (const Field &f : fields) {
+        for (const char *bad :
+             {"-1", "+1", "-4294967295", "1x", "0x", "",
+              "18446744073709551616", "4294967297"}) {
+            if (f.wide && std::string(bad) == "4294967297")
+                continue; // fits a 64-bit field
+            std::string line = f.before + std::string(bad) + f.after;
+            EXPECT_FALSE(parseProgram(program(f.line, line), &q, &err))
+                << "'" << line << "' parsed";
+        }
+    }
 }
 
 TEST(Program, CorpusFilesLoadAndEmitBack)

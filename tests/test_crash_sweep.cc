@@ -19,6 +19,7 @@
 #include "crashlab/report.hh"
 #include "crashlab/sweep.hh"
 #include "persist/recovery.hh"
+#include "sim/json.hh"
 #include "workloads/driver.hh"
 
 using namespace snf;
@@ -247,11 +248,38 @@ TEST(CrashSweep, DriverForwardsRecoveryOptions)
     EXPECT_EQ(out.recovery.redoApplied, 0u);
 }
 
-// JSON report: escaping and document shape.
-TEST(CrashSweep, JsonReport)
+// The one JSON writer: escaping, block vs inline layout, commas.
+TEST(CrashSweep, JsonWriterLayout)
 {
     EXPECT_EQ(jsonEscape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
     EXPECT_EQ(jsonEscape(std::string(1, '\x01')), "\\u0001");
+
+    std::ostringstream os;
+    JsonWriter w(os);
+    w.object().field("s", "q\"").field("n", std::uint64_t{7});
+    w.array("rows");
+    w.object(nullptr, true).field("a", 1).field("b", true);
+    w.array("v").field(nullptr, 0.5).object().end().end();
+    w.end().end();
+    w.array("none").end();
+    w.object("perf").fixed("t", 0.25, 6).end();
+    w.end();
+    EXPECT_EQ(os.str(), "{\n"
+                        "  \"s\": \"q\\\"\",\n"
+                        "  \"n\": 7,\n"
+                        "  \"rows\": [\n"
+                        "    {\"a\": 1, \"b\": true, \"v\": [0.5, {}]}\n"
+                        "  ],\n"
+                        "  \"none\": [],\n"
+                        "  \"perf\": {\n"
+                        "    \"t\": 0.250000\n"
+                        "  }\n"
+                        "}\n");
+}
+
+// JSON report: document shape.
+TEST(CrashSweep, JsonReport)
+{
 
     CellResult cell;
     cell.workload = "sps";

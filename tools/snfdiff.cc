@@ -5,49 +5,13 @@
  * HWL+FWB backend, the software-logging reference, and the pure
  * model oracle (final images plus crash-point recovery consistency).
  *
- * Usage:
- *   snfdiff [options]
- *     --programs N        seeded programs to run (default 50)
- *     --seed N            base seed; program i uses seed base+i
- *     --jobs N            worker threads (default: hardware)
- *     --replay FILE       replay one .snfprog repro instead
- *     --corpus DIR        replay every *.snfprog in DIR (sorted)
- *     --max-crash-points N  harvested crash points per backend
- *     --reorder-samples N reorderlab: at every crash point, also
- *                         recover up to N legal completion orders of
- *                         the pending persist set and require each to
- *                         stay model-consistent (0 = prefix only)
- *     --log-shards N      run both backends with the log NVRAM
- *                         sliced across N shards and the cross-shard
- *                         commit protocol (default 1)
- *     --no-crash          final-image differential only
- *     --no-shrink         report the first failure unminimized
- *     --out FILE          failing-program repro path
- *                         (default snfdiff-failure.snfprog)
- *     --conflict-rate R   generate shared-data conflicts: each op
- *                         targets the shared region with probability
- *                         R; judged by the serializability oracle
- *     --load-rate R       per-op load probability for conflicting
- *                         programs (default 0.25)
- *     --cc 2pl|tl2|none   CC scheme for conflicting programs
- *                         (default 2pl)
- *     --inject-skip-undo  self-test: sabotage the hardware backend's
- *     --inject-skip-redo  recovery (skip a replay phase / trust bad
- *     --inject-ignore-crc CRCs) so the differential has a real bug
- *                         to catch and shrink
- *     --inject-lost-update  self-test: run conflicting programs with
- *                         CC disabled so racing transactions produce
- *                         the anomalies the serializability oracle
- *                         must catch and shrink
- *
- * Exit status 0 iff every program agreed. Every value flag also
- * accepts --flag=value.
+ * `snfdiff --help` lists the flags. Exit status 0 iff every program
+ * agreed.
  */
 
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <mutex>
 #include <optional>
@@ -58,7 +22,7 @@
 #include "conformlab/diffrun.hh"
 #include "conformlab/proggen.hh"
 #include "conformlab/shrink.hh"
-#include "core/fault_flags.hh"
+#include "core/flag_table.hh"
 #include "sim/logging.hh"
 
 using namespace snf;
@@ -66,23 +30,6 @@ using namespace snf::conformlab;
 
 namespace
 {
-
-void
-usage()
-{
-    std::printf("usage: snfdiff [--programs N] [--seed N] [--jobs N]\n"
-                "               [--replay FILE] [--corpus DIR] "
-                "[--max-crash-points N]\n"
-                "               [--reorder-samples N] "
-                "[--log-shards N]\n"
-                "               [--no-crash] [--no-shrink] "
-                "[--out FILE]\n"
-                "               [--conflict-rate R] [--load-rate R] "
-                "[--cc 2pl|tl2|none]\n"
-                "               [--inject-skip-undo] "
-                "[--inject-skip-redo] [--inject-ignore-crc]\n"
-                "               [--inject-lost-update]\n");
-}
 
 struct Failure
 {
@@ -139,72 +86,44 @@ main(int argc, char **argv)
     DiffConfig cfg;
     ProgGenConfig gen;
 
-    std::vector<std::string> args(argv + 1, argv + argc);
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        auto arg = [&](const char *flag) -> const char * {
-            std::size_t n = std::strlen(flag);
-            if (std::strncmp(args[i].c_str(), flag, n) == 0 &&
-                args[i][n] == '=')
-                return args[i].c_str() + n + 1;
-            if (args[i] != flag)
-                return nullptr;
-            if (i + 1 >= args.size())
-                fatal("%s needs a value", flag);
-            return args[++i].c_str();
-        };
-        if (const char *v = arg("--programs")) {
-            programs = static_cast<std::size_t>(
-                parseCountFlag("--programs", v));
-        } else if (const char *v = arg("--seed")) {
-            baseSeed = parseCountFlag("--seed", v);
-        } else if (const char *v = arg("--jobs")) {
-            // 0 keeps meaning one worker.
-            jobs = static_cast<unsigned>(std::max<std::uint64_t>(
-                1, parseCountFlag("--jobs", v)));
-        } else if (const char *v = arg("--replay")) {
-            replayPath = v;
-        } else if (const char *v = arg("--corpus")) {
-            corpusDir = v;
-        } else if (const char *v = arg("--max-crash-points")) {
-            cfg.maxCrashPoints = static_cast<std::size_t>(
-                parseCountFlag("--max-crash-points", v));
-        } else if (const char *v = arg("--reorder-samples")) {
-            cfg.reorderSamples = static_cast<std::size_t>(
-                parseCountFlag("--reorder-samples", v));
-        } else if (const char *v = arg("--log-shards")) {
-            cfg.logShards = parseLogShardsFlag("--log-shards", v);
-        } else if (const char *v = arg("--out")) {
-            outPath = v;
-        } else if (const char *v = arg("--conflict-rate")) {
-            gen.conflictRate = parseUnitFlag("--conflict-rate", v);
-        } else if (const char *v = arg("--load-rate")) {
-            gen.loadRate = parseUnitFlag("--load-rate", v);
-        } else if (const char *v = arg("--cc")) {
-            if (std::strcmp(v, "2pl") == 0)
-                cfg.ccMode = CcMode::TwoPhase;
-            else if (std::strcmp(v, "tl2") == 0)
-                cfg.ccMode = CcMode::Tl2;
-            else if (std::strcmp(v, "none") == 0)
-                cfg.ccMode = CcMode::None;
-            else
-                fatal("--cc wants 2pl, tl2, or none");
-        } else if (args[i] == "--inject-lost-update") {
-            cfg.injectLostUpdate = true;
-        } else if (args[i] == "--no-crash") {
-            cfg.crashDifferential = false;
-        } else if (args[i] == "--no-shrink") {
-            shrink = false;
-        } else if (args[i] == "--inject-skip-undo") {
-            cfg.hwRecovery.faultSkipUndo = true;
-        } else if (args[i] == "--inject-skip-redo") {
-            cfg.hwRecovery.faultSkipRedo = true;
-        } else if (args[i] == "--inject-ignore-crc") {
-            cfg.hwRecovery.faultIgnoreCrc = true;
-        } else {
-            usage();
-            return args[i] == "--help" ? 0 : 2;
-        }
-    }
+    FlagTable flags("snfdiff");
+    flags.count("--programs", &programs, "seeded programs to run (default 50)")
+        .count("--seed", &baseSeed, "base seed; program i uses seed base+i")
+        .count("--jobs", &jobs, "worker threads (default: hardware)")
+        .text("--replay", "FILE", &replayPath,
+              "replay one .snfprog repro instead")
+        .text("--corpus", "DIR", &corpusDir, "replay every *.snfprog in DIR")
+        .count("--max-crash-points", &cfg.maxCrashPoints,
+               "harvested crash points per backend (default 32)")
+        .count("--reorder-samples", &cfg.reorderSamples,
+               "legal completion orders per crash point (default 0)")
+        .count("--log-shards", &cfg.logShards,
+               "log shards on both backends (default 1)",
+               CountRange::Shards)
+        .option("--no-crash", &cfg.crashDifferential,
+                "final-image differential only", false)
+        .option("--no-shrink", &shrink, "report the first failure unshrunk",
+                false)
+        .text("--out", "FILE", &outPath,
+              "failing-program repro (default snfdiff-failure.snfprog)")
+        .real("--conflict-rate", "R", &gen.conflictRate,
+              "probability an op targets the shared region", RealRange::Unit)
+        .real("--load-rate", "R", &gen.loadRate,
+              "per-op load probability when conflicting (default 0.25)",
+              RealRange::Unit)
+        .choice("--cc", &cfg.ccMode, kAllCcModes, ccModeName,
+                "CC scheme for conflicting programs (default 2pl)",
+                "--cc wants 2pl, tl2, or none")
+        .option("--inject-skip-undo", &cfg.hwRecovery.faultSkipUndo,
+                "self-test: hardware recovery skips the undo phase")
+        .option("--inject-skip-redo", &cfg.hwRecovery.faultSkipRedo,
+                "self-test: hardware recovery skips the redo phase")
+        .option("--inject-ignore-crc", &cfg.hwRecovery.faultIgnoreCrc,
+                "self-test: hardware recovery trusts bad CRCs")
+        .option("--inject-lost-update", &cfg.injectLostUpdate,
+                "self-test: conflicting programs run without CC");
+    flags.parse(argc, argv);
+    jobs = std::max(1u, jobs); // 0 keeps meaning one worker
 
     // --- Replay paths: one repro file, or a whole corpus ---------
     std::vector<std::pair<std::string, Program>> fixed;
