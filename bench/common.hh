@@ -126,8 +126,7 @@ printTableII()
                 c.nvram.rowHitLat, c.nvram.readConflictLat,
                 c.nvram.writeConflictLat, c.nvram.banks);
     std::printf("#   log %lluKB, log buffer %u entries, WCB %u\n",
-                static_cast<unsigned long long>(
-                    c.persist.logBytes / 1024),
+                static_cast<unsigned long long>(c.map.logSize / 1024),
                 c.persist.logBufferEntries, c.persist.wcbEntries);
     std::printf("#   SNF_BENCH_SCALE=%.2f\n\n", benchScale());
 }

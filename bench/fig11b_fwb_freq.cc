@@ -19,7 +19,7 @@ namespace
 {
 
 std::uint64_t
-hazardsAt(std::uint64_t logBytes, Tick period)
+hazardsAt(std::uint64_t logSize, Tick period)
 {
     workloads::RunSpec spec;
     spec.workload = "hash";
@@ -31,8 +31,7 @@ hazardsAt(std::uint64_t logBytes, Tick period)
         spec.params.txPerThread = 1;
     spec.params.footprint = 65536;
     spec.sys = benchConfig(4);
-    spec.sys.persist.logBytes = logBytes;
-    spec.sys.map.logSize = logBytes;
+    spec.sys.map.logSize = logSize;
     spec.sys.persist.fwbPeriod = period;
     spec.verifyAtEnd = false;
     auto o = workloads::runWorkload(spec);
@@ -54,7 +53,6 @@ main()
     for (std::uint64_t kb : {64ULL, 128ULL, 256ULL, 512ULL, 1024ULL,
                              2048ULL, 4096ULL}) {
         SystemConfig cfg = benchConfig(4);
-        cfg.persist.logBytes = kb * 1024;
         cfg.map.logSize = kb * 1024;
         Tick period = persist::FwbEngine::derivePeriod(cfg, 1);
         std::uint64_t at_derived = hazardsAt(kb * 1024, 0);

@@ -71,9 +71,7 @@ BENCHMARK(BM_CacheLookup);
 void
 BM_DeviceAccess(benchmark::State &state)
 {
-    MemDeviceConfig cfg;
-    cfg.sizeBytes = 1ULL << 30;
-    mem::MemDevice dev("bench_nvram", cfg, 0);
+    mem::MemDevice dev("bench_nvram", {}, 0, 1ULL << 30);
     sim::Rng rng(9);
     std::uint8_t buf[64] = {1, 2, 3};
     Tick now = 0;

@@ -53,6 +53,9 @@ FlagTable::parseCount(const char *flag, const char *value,
     if (range == CountRange::Shards && (n == 0 || n > 64))
         return strfmt("%s needs a shard count in [1,64], got '%s'",
                       flag, value);
+    if (range == CountRange::Jobs && n > kMaxJobs)
+        return strfmt("%s needs a worker count <= %llu, got '%s'", flag,
+                      static_cast<unsigned long long>(kMaxJobs), value);
     if (n > max)
         return strfmt("%s needs a count <= %llu, got '%s'", flag,
                       static_cast<unsigned long long>(max), value);

@@ -19,6 +19,7 @@
 #ifndef SNF_CORE_FLAG_TABLE_HH
 #define SNF_CORE_FLAG_TABLE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -46,7 +47,19 @@ enum class CountRange
     Any,
     Positive, ///< >= 1: thread, transaction and repeat counts
     Shards,   ///< [1, 64]: 64 is the participation-mask width
+    Jobs,     ///< [0, kMaxJobs]: host worker threads (--jobs)
 };
+
+/** Largest --jobs any tool accepts: one host thread per job. */
+inline constexpr std::uint64_t kMaxJobs = 256;
+
+/** Threads for a pool of @p jobs workers over @p items work items:
+ *  no more than the items, and at least one. */
+inline std::size_t
+poolSize(std::size_t jobs, std::size_t items)
+{
+    return std::max<std::size_t>(1, std::min(jobs, items));
+}
 
 /** What a real flag must satisfy besides being finite. */
 enum class RealRange

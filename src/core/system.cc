@@ -8,20 +8,30 @@
 namespace snf
 {
 
+namespace
+{
+
+/** Log-full Stall/AbortRetry: attempts before falling back to
+ *  Reclaim, and the base backoff in ticks (doubles per try). */
+constexpr std::uint32_t kLogFullRetries = 8;
+constexpr Tick kLogFullBackoffBase = 64;
+/**
+ * AbortRetry livelock guard: once the same thread has been made the
+ * abort victim this many consecutive times without managing to
+ * commit, further abort requests against it are denied and the append
+ * escalates to the Stall policy for that slot (counted in TxnTracker's
+ * escalations stat).
+ */
+constexpr std::uint32_t kAbortRetryCap = 8;
+
+} // namespace
+
 System::System(const SystemConfig &config, PersistMode m)
     : cfg(config),
       persistMode(m),
       scheduler(eventQueue)
 {
     cfg.validate();
-    // Hand the NVRAM device its remap-table geometry (lifelab) so it
-    // can translate promoted lines; zero sizes leave it inert.
-    if (cfg.map.remapSize != 0) {
-        cfg.nvram.remapBase = cfg.map.remapBase();
-        cfg.nvram.remapSize = cfg.map.remapSize;
-        cfg.nvram.spareBase = cfg.map.spareBase();
-        cfg.nvram.spareSize = cfg.map.spareSize;
-    }
     memory = std::make_unique<mem::MemorySystem>(cfg);
     // Fault parity by construction: every timed write into the log
     // area must arrive on the serialized priority channel with a
@@ -43,11 +53,11 @@ System::System(const SystemConfig &config, PersistMode m)
     std::uint32_t shards = cfg.persist.logShards;
     std::uint32_t region_count = std::max(partitions, shards);
     cfg.map.logRegions = region_count;
-    std::uint64_t part_bytes = cfg.map.logSize / region_count;
     for (std::uint32_t p = 0; p < region_count; ++p) {
+        auto [base, bytes] =
+            persist::LogRegion::span(cfg.map, p, region_count);
         logRegions.push_back(std::make_unique<persist::LogRegion>(
-            cfg.map.logBase() + p * part_bytes, part_bytes,
-            memory->nvram(),
+            base, bytes, memory->nvram(),
             region_count == 1 ? "log" : strfmt("log.%u", p)));
         logRegions.back()->create();
     }
@@ -79,8 +89,7 @@ System::System(const SystemConfig &config, PersistMode m)
         // line back to NVRAM; an AbortRetry policy asks the blocking
         // transaction's thread to roll back at its next commit.
         region->setLogFullPolicy(cfg.persist.logFullPolicy,
-                                 cfg.persist.logFullRetries,
-                                 cfg.persist.logFullBackoffBase);
+                                 kLogFullRetries, kLogFullBackoffBase);
         region->setForceWriteback([this](Addr addr, Tick now) {
             Tick done = memory->clwb(0, addr, now);
             // If a write-back of the line is already in flight (the
@@ -101,7 +110,7 @@ System::System(const SystemConfig &config, PersistMode m)
             return txnTracker.requestAbort(seq);
         });
     }
-    txnTracker.setAbortRetryCap(cfg.persist.abortRetryCap);
+    txnTracker.setAbortRetryCap(kAbortRetryCap);
     txnTracker.setCcMode(cfg.persist.ccMode);
 
     if (isHardwareLogging(persistMode)) {

@@ -10,7 +10,6 @@
 #define SNF_CORE_SYSTEM_CONFIG_HH
 
 #include <cstdint>
-#include <string>
 
 #include "sim/types.hh"
 
@@ -92,9 +91,6 @@ struct FaultModelConfig
     /** Restrict injection to [regionBase, regionBase+regionSize). */
     Addr regionBase = 0;
     std::uint64_t regionSize = 0; ///< 0 = whole device
-    /** Restrict injection to ticks in [windowStart, windowEnd). */
-    Tick windowStart = 0;
-    Tick windowEnd = 0; ///< 0 = no upper bound
 
     bool
     enabled() const
@@ -131,10 +127,13 @@ struct FaultModelConfig
     }
 };
 
-/** Timing/energy model of a memory device (DRAM or NVRAM DIMM). */
+/**
+ * Timing/energy model of a memory device (DRAM or NVRAM DIMM). Its
+ * address range, and the NVRAM's remap and spare regions, come from
+ * the AddressMap.
+ */
 struct MemDeviceConfig
 {
-    std::uint64_t sizeBytes = 8ULL << 30;
     std::uint32_t banks = 8;
     std::uint32_t rowBytes = 2048;
     std::uint32_t rowHitLat = 90;        ///< 36 ns row-buffer hit
@@ -150,17 +149,6 @@ struct MemDeviceConfig
 
     /** Media-fault injection (faultlab); disabled by default. */
     FaultModelConfig faults;
-
-    /**
-     * Bad-line remapping (lifelab): geometry of the persistent remap
-     * table and its spare-line area on this device. Zero sizes (the
-     * default) disable remapping entirely. Populated by the System
-     * from AddressMap::remapBase()/spareBase() for the NVRAM device.
-     */
-    Addr remapBase = 0;
-    std::uint64_t remapSize = 0;
-    Addr spareBase = 0;
-    std::uint64_t spareSize = 0;
 };
 
 /** Simulated core (timing model) parameters. */
@@ -168,14 +156,6 @@ struct CoreConfig
 {
     std::uint32_t issueWidth = 4;      ///< non-mem ops retired per cycle
     std::uint32_t storeBufferEntries = 32;
-    std::uint32_t l1HitLat = 4;        ///< 1.6 ns at 2.5 GHz
-};
-
-/** Memory-controller queue model. */
-struct McConfig
-{
-    std::uint32_t readQueue = 64;
-    std::uint32_t writeQueue = 64;
 };
 
 /**
@@ -252,7 +232,6 @@ inline constexpr CcMode kAllCcModes[] = {CcMode::TwoPhase, CcMode::Tl2,
 /** Persistence machinery parameters (Sections III and IV). */
 struct PersistConfig
 {
-    std::uint64_t logBytes = 4ULL << 20;  ///< circular log size (4 MB)
     std::uint32_t logBufferEntries = 15;  ///< volatile FIFO in the MC
     std::uint32_t wcbEntries = 6;         ///< write-combining buffer
     /**
@@ -260,8 +239,6 @@ struct PersistConfig
      * from log size and NVRAM write bandwidth (Section IV-D).
      */
     Tick fwbPeriod = 0;
-    /** Cycles of cache-port busy time charged per scanned line. */
-    double fwbScanCostPerLine = 0.05;
     /** Record write journal in NVRAM for crash snapshots. */
     bool crashJournal = false;
     /**
@@ -332,25 +309,9 @@ struct PersistConfig
     bool injectSkipShardMask = false;
     /** Behavior when a log append finds no reclaimable slot. */
     LogFullPolicy logFullPolicy = LogFullPolicy::Reclaim;
-    /** Stall/AbortRetry: attempts before falling back to Reclaim. */
-    std::uint32_t logFullRetries = 8;
-    /** Stall/AbortRetry: base backoff in ticks (doubles per try). */
-    Tick logFullBackoffBase = 64;
-    /**
-     * AbortRetry livelock guard: once the same thread has been made
-     * the abort victim this many consecutive times without managing
-     * to commit, further abort requests against it are denied and the
-     * append escalates to the Stall policy for that slot (counted in
-     * TxnTracker's escalations stat). 0 disables the cap.
-     */
-    std::uint32_t abortRetryCap = 8;
 
     /** Concurrency control for the tx_load64/tx_store64 API. */
     CcMode ccMode = CcMode::None;
-    /** CC acquire-retry backoff in instructions (doubles per try). */
-    std::uint32_t ccBackoffBase = 8;
-    /** Cap on the CC acquire-retry backoff. */
-    std::uint32_t ccBackoffCap = 1024;
 
     /**
      * Online log scrubber (lifelab): piggybacks on the FWB cadence
@@ -360,23 +321,27 @@ struct PersistConfig
      * promoting repeat-offender lines into the bad-line remap table.
      */
     bool scrub = false;
-    /** Slots checked per scrub step; 0 = slots/256 (one full walk of
-     *  the log every 256 scan periods, bounding scrub reads to a
-     *  sub-percent slice of device bandwidth). */
-    std::uint64_t scrubChunkSlots = 0;
     /** Error observations on one line before it is promoted into the
      *  remap table. */
     std::uint32_t scrubPromoteThreshold = 3;
 };
 
-/** Physical address map of the simulated machine. */
+/**
+ * Physical address map of the simulated machine: the one owner of
+ * every geometry fact. The devices take their ranges from it, the
+ * NVRAM device its remap and spare regions, and persist::LogRegion
+ * derives each log region's base, size and slot count from it.
+ */
 struct AddressMap
 {
     Addr dramBase = 0;
     std::uint64_t dramSize = 1ULL << 30;
     Addr nvramBase = 0x100000000ULL; ///< 4 GB boundary
     std::uint64_t nvramSize = 8ULL << 30;
-    /** Log region lives at the bottom of NVRAM. */
+    /**
+     * The circular log area at the bottom of NVRAM (4 MB in the
+     * paper). Its size sets the FWB scan period (Section IV-D).
+     */
     std::uint64_t logSize = 4ULL << 20;
     /**
      * Number of equal circular log regions the log area is split
@@ -433,14 +398,12 @@ struct AddressMap
 /** Complete configuration of one simulated system. */
 struct SystemConfig
 {
-    std::string name = "paper";
     std::uint32_t numCores = 4;
     double clockGhz = 2.5;
 
     CoreConfig core;
     CacheConfig l1;
     CacheConfig l2;
-    McConfig mc;
     MemDeviceConfig nvram;
     MemDeviceConfig dram;
     PersistConfig persist;

@@ -21,6 +21,11 @@ constexpr std::uint64_t kCcAcquireInstructions = 2;
 /** TL2 validation cost per read-set entry, in instructions. */
 constexpr std::uint64_t kCcValidateInstructions = 2;
 
+/** CC acquire-retry backoff in instructions (doubles per try), and
+ *  its cap. */
+constexpr std::uint32_t kCcBackoffBase = 8;
+constexpr std::uint32_t kCcBackoffCap = 1024;
+
 } // namespace
 
 Thread::Thread(CoreId id, System &system)
@@ -360,7 +365,7 @@ Thread::ccAcquire(Addr a, bool forWrite)
     if (sys.txns().ccMode() == CcMode::None || !inTx ||
         !sys.config().map.isNvram(a))
         co_return true;
-    std::uint32_t backoff = sys.config().persist.ccBackoffBase;
+    std::uint32_t backoff = kCcBackoffBase;
     for (;;) {
         persist::CcDecision d =
             co_await CcAcquireOp(this, a, forWrite);
@@ -371,8 +376,7 @@ Thread::ccAcquire(Addr a, bool forWrite)
         // Holder still running: back off (thread-salted so two
         // symmetric waiters don't reprobe in lockstep) and retry.
         co_await compute(backoff + ctx.id());
-        backoff = std::min<std::uint32_t>(
-            backoff * 2, sys.config().persist.ccBackoffCap);
+        backoff = std::min(backoff * 2, kCcBackoffCap);
     }
 }
 

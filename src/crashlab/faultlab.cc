@@ -1,16 +1,11 @@
 #include "crashlab/faultlab.hh"
 
 #include <algorithm>
-#include <cstdarg>
-#include <cstdio>
 #include <cstring>
 
-#include <memory>
-
 #include "mem/fault_model.hh"
-#include "mem/remap_table.hh"
-#include "persist/log_record.hh"
 #include "persist/log_region.hh"
+#include "sim/logging.hh"
 
 namespace snf::crashlab
 {
@@ -18,68 +13,11 @@ namespace snf::crashlab
 namespace
 {
 
-std::string
-format(const char *fmt, ...)
-{
-    char buf[512];
-    va_list ap;
-    va_start(ap, fmt);
-    std::vsnprintf(buf, sizeof(buf), fmt, ap);
-    va_end(ap);
-    return buf;
-}
-
-void
-fail(std::vector<Violation> &out, const char *invariant,
-     std::string detail)
-{
-    out.push_back(Violation{invariant, std::move(detail)});
-}
-
 double
 unit(std::uint64_t h)
 {
     return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
-
-/**
- * A slot's live bytes move to its spare line once the persistent
- * remap table promotes the line (lifelab), so slot reads and the
- * damage writes must go through the image's table — otherwise faults
- * would land on the stale pre-promotion copy and remapped lines would
- * silently become immune. Decision hashes stay keyed on the logical
- * slot address, which is stable across promotion. Log headers and
- * slots never cross a 64-byte line, so one translation per access
- * suffices.
- */
-struct SlotView
-{
-    SlotView(const mem::BackingStore &image, const AddressMap &map)
-    {
-        if (map.remapSize == 0)
-            return;
-        table = std::make_unique<mem::RemapTable>(
-            map.remapBase(), map.remapSize, map.spareBase(),
-            map.spareSize);
-        table->load(image); // fresh/corrupt loads empty == identity
-    }
-
-    Addr
-    translate(Addr a) const
-    {
-        if (!table)
-            return a;
-        Addr line =
-            a & ~static_cast<Addr>(mem::RemapTable::kLineBytes - 1);
-        if (auto spare = table->find(line))
-            return *spare + (a - line);
-        return a;
-    }
-
-    // A pointer, not a std::optional: gcc reports emplace() into an
-    // empty optional as a maybe-uninitialized read of its payload.
-    std::unique_ptr<mem::RemapTable> table;
-};
 
 // Distinct decision streams per slot (mixed into the hash seed).
 constexpr std::uint64_t kSaltDrop = 0x11;
@@ -120,56 +58,37 @@ applyImageFaults(mem::BackingStore &image, const AddressMap &map,
         return mem::FaultInjector::hash(cfg.seed ^ salt, slotAddr,
                                         crashTick);
     };
-    SlotView view(image, map);
-
-    std::uint32_t partitions = map.logRegionCount();
-    std::uint64_t part_bytes = map.logSize / partitions;
-    for (std::uint32_t p = 0; p < partitions; ++p) {
-        Addr base = map.logBase() + p * part_bytes;
-        if (image.read64(view.translate(base)) !=
-            persist::LogRegion::kMagic)
-            continue;
-        std::uint64_t slots = image.read64(view.translate(base + 8));
-        std::uint64_t max_slots =
-            (part_bytes - persist::LogRegion::kHeaderBytes) /
-            persist::LogRecord::kSlotBytes;
-        if (slots > max_slots)
-            continue;
-
-        Addr slot0 = base + persist::LogRegion::kHeaderBytes;
-        if (cfg.killShard >= 0 &&
-            p == static_cast<std::uint32_t>(cfg.killShard)) {
+    // Slot reads and the damage writes go through the image's remap
+    // table (walkLogImage): otherwise faults would land on the stale
+    // pre-promotion copy and remapped lines would silently become
+    // immune. Decision hashes stay keyed on the logical slot address.
+    walkLogImage(
+        image, map,
+        [&](const ImageRegion &r) {
+            if (!r.intact ||
+                static_cast<std::int64_t>(r.index) != cfg.killShard)
+                return;
             // Shard death (degraded mode): every record the shard
-            // held is damage by definition — record the txids first,
-            // then wipe the header so recovery cannot trust the
-            // slice at all.
-            for (std::uint64_t i = 0; i < slots; ++i) {
-                std::uint8_t img[persist::LogRecord::kSlotBytes];
-                image.read(view.translate(
-                               slot0 +
-                               i * persist::LogRecord::kSlotBytes),
-                           persist::LogRecord::kSlotBytes, img);
-                persist::SlotInfo info = persist::classifySlot(img);
-                if (info.cls == persist::SlotClass::Valid)
-                    plan.damagedTxIds.push_back(info.rec.tx);
-            }
+            // held is damage by definition — the slot walk records
+            // the txids — and the header is wiped so recovery cannot
+            // trust the slice at all.
             std::uint8_t zeros[persist::LogRegion::kHeaderBytes] = {};
-            image.write(view.translate(base),
-                        persist::LogRegion::kHeaderBytes, zeros);
+            image.write(r.media, sizeof(zeros), zeros);
             plan.killedShard = cfg.killShard;
-            continue;
-        }
-        for (std::uint64_t i = 0; i < slots; ++i) {
-            Addr a = slot0 + i * persist::LogRecord::kSlotBytes;
-            std::uint8_t img[persist::LogRecord::kSlotBytes];
-            image.read(view.translate(a),
-                       persist::LogRecord::kSlotBytes, img);
+        },
+        [&](const ImageSlot &s) {
             // Only well-formed slots are candidates, so the damaged
             // set below is exactly the transactions we touched.
-            persist::SlotInfo info = persist::classifySlot(img);
+            persist::SlotInfo info = persist::classifySlot(s.bytes);
             if (info.cls != persist::SlotClass::Valid)
-                continue;
-
+                return;
+            if (static_cast<std::int64_t>(s.region) == cfg.killShard) {
+                plan.damagedTxIds.push_back(info.rec.tx);
+                return;
+            }
+            const Addr a = s.addr;
+            std::uint8_t img[persist::LogRecord::kSlotBytes];
+            std::memcpy(img, s.bytes, sizeof(img));
             std::uint64_t touched = 0;
             if (unit(draw(kSaltDrop, a)) < cfg.dropSlotProb) {
                 // The slot's write never reached the media.
@@ -198,13 +117,11 @@ applyImageFaults(mem::BackingStore &image, const AddressMap &map,
                 touched = 1;
             }
             if (touched) {
-                image.write(view.translate(a),
-                            persist::LogRecord::kSlotBytes, img);
+                image.write(s.media, sizeof(img), img);
                 plan.slotsFaulted += 1;
                 plan.damagedTxIds.push_back(info.rec.tx);
             }
-        }
-    }
+        });
 
     std::sort(plan.damagedTxIds.begin(), plan.damagedTxIds.end());
     plan.damagedTxIds.erase(std::unique(plan.damagedTxIds.begin(),
@@ -230,31 +147,13 @@ coveredRanges(const mem::BackingStore &image, const AddressMap &map,
     };
 
     std::vector<std::pair<Addr, Addr>> ranges;
-    SlotView view(image, map);
-    std::uint32_t partitions = map.logRegionCount();
-    std::uint64_t part_bytes = map.logSize / partitions;
-    for (std::uint32_t p = 0; p < partitions; ++p) {
-        Addr base = map.logBase() + p * part_bytes;
-        if (image.read64(view.translate(base)) !=
-            persist::LogRegion::kMagic)
-            continue;
-        std::uint64_t slots = image.read64(view.translate(base + 8));
-        Addr slot0 = base + persist::LogRegion::kHeaderBytes;
-        for (std::uint64_t i = 0; i < slots; ++i) {
-            std::uint8_t img[persist::LogRecord::kSlotBytes];
-            image.read(view.translate(
-                           slot0 +
-                           i * persist::LogRecord::kSlotBytes),
-                       persist::LogRecord::kSlotBytes, img);
-            persist::SlotInfo info = persist::classifySlot(img);
-            if (info.cls != persist::SlotClass::Valid ||
-                info.rec.isCommit || info.rec.isPrepare ||
-                !interesting(info.rec.tx))
-                continue;
-            ranges.emplace_back(info.rec.addr,
-                                info.rec.addr + info.rec.size);
-        }
-    }
+    walkLogImage(image, map, {}, [&](const ImageSlot &s) {
+        persist::SlotInfo info = persist::classifySlot(s.bytes);
+        if (info.cls != persist::SlotClass::Valid || info.rec.isCommit ||
+            info.rec.isPrepare || !interesting(info.rec.tx))
+            return;
+        ranges.emplace_back(info.rec.addr, info.rec.addr + info.rec.size);
+    });
     std::sort(ranges.begin(), ranges.end());
     return ranges;
 }
@@ -311,7 +210,7 @@ checkFaultedCrashPoint(const mem::BackingStore &image,
     if (auto diff = once.firstDifference(twice, once.base(),
                                          once.size())) {
         fail(out, "salvage-idempotent",
-             format("second salvage pass changed the image, first "
+             strfmt("second salvage pass changed the image, first "
                     "difference at 0x%llx",
                     static_cast<unsigned long long>(*diff)));
     }
@@ -336,7 +235,7 @@ checkFaultedCrashPoint(const mem::BackingStore &image,
     // bound survives injection.
     if (rep.committedTxns > facts.txCommitted) {
         fail(out, "committed-upper",
-             format("recovered %llu committed txns under faults but "
+             strfmt("recovered %llu committed txns under faults but "
                     "only %llu commits had initiated by tick %llu",
                     static_cast<unsigned long long>(rep.committedTxns),
                     static_cast<unsigned long long>(facts.txCommitted),
@@ -353,7 +252,7 @@ checkFaultedCrashPoint(const mem::BackingStore &image,
     for (std::uint16_t tx : rep.quarantinedTxIds) {
         if (!plan.damaged(tx)) {
             fail(out, "quarantine-sound",
-                 format("tx %u quarantined but none of its slots "
+                 strfmt("tx %u quarantined but none of its slots "
                         "were damaged",
                         tx));
         }
@@ -383,7 +282,7 @@ checkFaultedCrashPoint(const mem::BackingStore &image,
         Addr cover = coveringEnd(ranges, *diff);
         if (cover == 0) {
             fail(out, "undamaged-oracle",
-                 format("faulted recovery diverges from clean "
+                 strfmt("faulted recovery diverges from clean "
                         "recovery at 0x%llx, outside every damaged "
                         "or quarantined transaction's write set",
                         static_cast<unsigned long long>(*diff)));

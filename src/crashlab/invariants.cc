@@ -1,37 +1,13 @@
 #include "crashlab/invariants.hh"
 
 #include <algorithm>
-#include <cstdarg>
-#include <cstdio>
 
-#include "persist/log_record.hh"
+#include "mem/remap_table.hh"
 #include "persist/log_region.hh"
+#include "sim/logging.hh"
 
 namespace snf::crashlab
 {
-
-namespace
-{
-
-std::string
-format(const char *fmt, ...)
-{
-    char buf[512];
-    va_list ap;
-    va_start(ap, fmt);
-    std::vsnprintf(buf, sizeof(buf), fmt, ap);
-    va_end(ap);
-    return buf;
-}
-
-void
-fail(std::vector<Violation> &out, const char *invariant,
-     std::string detail)
-{
-    out.push_back(Violation{invariant, std::move(detail)});
-}
-
-} // namespace
 
 bool
 guaranteesFailureAtomicity(PersistMode mode)
@@ -72,7 +48,7 @@ checkCrashPoint(const mem::BackingStore &image, const AddressMap &map,
     if (auto diff = once.firstDifference(twice, once.base(),
                                          once.size())) {
         fail(out, "replay-idempotent",
-             format("second replay changed the image, first "
+             strfmt("second replay changed the image, first "
                     "difference at 0x%llx",
                     static_cast<unsigned long long>(*diff)));
     }
@@ -101,14 +77,14 @@ checkCrashPoint(const mem::BackingStore &image, const AddressMap &map,
         persist::Recovery::run(again, map, canonOpts);
     if (rep2.validRecords != 0) {
         fail(out, "truncate-idempotent",
-             format("%llu live records survived truncation",
+             strfmt("%llu live records survived truncation",
                     static_cast<unsigned long long>(
                         rep2.validRecords)));
     }
     if (auto diff = recovered.firstDifference(again, recovered.base(),
                                               recovered.size())) {
         fail(out, "truncate-idempotent",
-             format("re-recovery changed the image, first difference "
+             strfmt("re-recovery changed the image, first difference "
                     "at 0x%llx",
                     static_cast<unsigned long long>(*diff)));
     }
@@ -126,7 +102,7 @@ checkCrashPoint(const mem::BackingStore &image, const AddressMap &map,
     // a commit record can only exist for a commit that initiated.
     if (rep.committedTxns > facts.txCommitted) {
         fail(out, "committed-upper",
-             format("recovered %llu committed txns but only %llu "
+             strfmt("recovered %llu committed txns but only %llu "
                     "commits had initiated by tick %llu",
                     static_cast<unsigned long long>(rep.committedTxns),
                     static_cast<unsigned long long>(facts.txCommitted),
@@ -140,7 +116,7 @@ checkCrashPoint(const mem::BackingStore &image, const AddressMap &map,
         if (rep.headerValid &&
             rep.committedTxns < facts.txDurableCommits) {
             fail(out, "committed-durable",
-                 format("%llu commit records were durable by tick "
+                 strfmt("%llu commit records were durable by tick "
                         "%llu but recovery found only %llu",
                         static_cast<unsigned long long>(
                             facts.txDurableCommits),
@@ -156,7 +132,7 @@ checkCrashPoint(const mem::BackingStore &image, const AddressMap &map,
             (facts.txCommitted - facts.txDurableCommits);
         if (rep.uncommittedTxns > bound) {
             fail(out, "uncommitted-bound",
-                 format("recovery found %llu uncommitted txns; at "
+                 strfmt("recovery found %llu uncommitted txns; at "
                         "most %llu (threads + in-flight commits) can "
                         "exist at tick %llu",
                         static_cast<unsigned long long>(
@@ -169,58 +145,80 @@ checkCrashPoint(const mem::BackingStore &image, const AddressMap &map,
     return out;
 }
 
+void
+walkLogImage(const mem::BackingStore &image, const AddressMap &map,
+             const std::function<void(const ImageRegion &)> &onRegion,
+             const std::function<void(const ImageSlot &)> &onSlot)
+{
+    using persist::LogRegion;
+    std::unique_ptr<mem::RemapTable> table = mem::RemapTable::forMap(map);
+    if (table)
+        table->load(image); // fresh/corrupt loads empty == identity
+    auto media = [&](Addr a) { return table ? table->translate(a) : a; };
+    const std::uint32_t regions = map.logRegionCount();
+    for (std::uint32_t p = 0; p < regions; ++p) {
+        const LogRegion::Span span = LogRegion::span(map, p, regions);
+        ImageRegion r{p, span.base, media(span.base), 0, 0, false};
+        r.magic = image.read64(r.media);
+        r.slots = image.read64(media(span.base + 8));
+        r.intact = r.magic == LogRegion::kMagic &&
+                   r.slots <= LogRegion::slotsIn(span.bytes);
+        if (onRegion)
+            onRegion(r);
+        if (!r.intact)
+            continue;
+        ImageSlot slot{p, 0, 0, 0, {}};
+        for (slot.index = 0; slot.index < r.slots; ++slot.index) {
+            slot.addr = span.base + LogRegion::kHeaderBytes +
+                        slot.index * persist::LogRecord::kSlotBytes;
+            slot.media = media(slot.addr);
+            image.read(slot.media, sizeof(slot.bytes), slot.bytes);
+            onSlot(slot);
+        }
+    }
+}
+
 std::string
 describeLogWindow(const mem::BackingStore &image, const AddressMap &map)
 {
     std::string out;
-    std::uint32_t partitions = map.logRegionCount();
-    std::uint64_t part_bytes = map.logSize / partitions;
-    for (std::uint32_t p = 0; p < partitions; ++p) {
-        Addr base = map.logBase() + p * part_bytes;
-        std::uint64_t magic = image.read64(base);
-        std::uint64_t slots = image.read64(base + 8);
-        out += format("log[%u] @0x%llx magic=%s slots=%llu\n", p,
-                      static_cast<unsigned long long>(base),
-                      magic == persist::LogRegion::kMagic ? "ok"
-                                                          : "BAD",
-                      static_cast<unsigned long long>(slots));
-        if (magic != persist::LogRegion::kMagic ||
-            slots > (part_bytes - persist::LogRegion::kHeaderBytes) /
-                        persist::LogRecord::kSlotBytes)
-            continue;
-        Addr slot0 = base + persist::LogRegion::kHeaderBytes;
-        for (std::uint64_t i = 0; i < slots; ++i) {
-            std::uint8_t img[persist::LogRecord::kSlotBytes];
-            image.read(slot0 + i * persist::LogRecord::kSlotBytes,
-                       persist::LogRecord::kSlotBytes, img);
+    walkLogImage(
+        image, map,
+        [&](const ImageRegion &r) {
+            out += strfmt("log[%u] @0x%llx magic=%s slots=%llu\n",
+                          r.index, static_cast<unsigned long long>(r.base),
+                          r.magic == persist::LogRegion::kMagic ? "ok"
+                                                                : "BAD",
+                          static_cast<unsigned long long>(r.slots));
+        },
+        [&](const ImageSlot &s) {
             bool torn = false;
-            auto rec = persist::LogRecord::deserialize(img, torn);
+            auto rec = persist::LogRecord::deserialize(s.bytes, torn);
             if (!rec)
-                continue;
-            out += format("  slot %4llu torn=%d tx=%u %s",
-                          static_cast<unsigned long long>(i),
+                return;
+            out += strfmt("  slot %4llu torn=%d tx=%u %s",
+                          static_cast<unsigned long long>(s.index),
                           torn ? 1 : 0, rec->tx,
                           rec->isPrepare ? "PREPARE"
                           : rec->isCommit ? "COMMIT"
                                           : "update");
             if (rec->isPrepare || rec->hasShardMask) {
-                out += format(" seq=%llu",
+                out += strfmt(" seq=%llu",
                               static_cast<unsigned long long>(
                                   rec->commitSeq));
                 if (rec->hasShardMask)
-                    out += format(" mask=0x%llx",
+                    out += strfmt(" mask=0x%llx",
                                   static_cast<unsigned long long>(
                                       rec->shardMask));
             } else if (!rec->isCommit) {
-                out += format(" addr=0x%llx size=%u%s%s",
+                out += strfmt(" addr=0x%llx size=%u%s%s",
                               static_cast<unsigned long long>(
                                   rec->addr),
                               rec->size, rec->hasUndo ? " undo" : "",
                               rec->hasRedo ? " redo" : "");
             }
             out += "\n";
-        }
-    }
+        });
     return out;
 }
 

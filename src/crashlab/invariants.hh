@@ -29,11 +29,13 @@
 #define SNF_CRASHLAB_INVARIANTS_HH
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "core/system_config.hh"
 #include "mem/backing_store.hh"
+#include "persist/log_record.hh"
 #include "persist/recovery.hh"
 #include "workloads/workload.hh"
 
@@ -46,6 +48,14 @@ struct Violation
     std::string invariant; ///< short checker name (see file comment)
     std::string detail;    ///< human-readable diagnosis
 };
+
+/** Append a violation of @p invariant to @p out. */
+inline void
+fail(std::vector<Violation> &out, const char *invariant,
+     std::string detail)
+{
+    out.push_back(Violation{invariant, std::move(detail)});
+}
 
 /** Reference-run facts as of the crash tick. */
 struct CrashFacts
@@ -80,6 +90,42 @@ checkCrashPoint(const mem::BackingStore &image, const AddressMap &map,
                 const workloads::Workload &wl, const CrashFacts &facts,
                 const persist::RecoveryOptions &recOpts,
                 persist::RecoveryReport *reportOut = nullptr);
+
+/** One log region header of a crash image (see walkLogImage). */
+struct ImageRegion
+{
+    std::uint32_t index;
+    Addr base;  ///< logical header address
+    Addr media; ///< where the header's bytes are in the image
+    std::uint64_t magic;
+    std::uint64_t slots; ///< as the header claims
+    /** The magic matches and the slot count fits the region. */
+    bool intact;
+};
+
+/** One slot of an intact log region of a crash image. */
+struct ImageSlot
+{
+    std::uint32_t region;
+    std::uint64_t index;
+    /** Logical slot address; fault decisions key on it because it
+     *  stays put when the slot's line is promoted. */
+    Addr addr;
+    Addr media; ///< where the slot's live bytes are in the image
+    std::uint8_t bytes[persist::LogRecord::kSlotBytes];
+};
+
+/**
+ * Walk the log area of @p image: @p onRegion (may be empty) sees every
+ * region header, then @p onSlot every slot of that region if it is
+ * intact. Every read goes through the image's remap table (lifelab):
+ * a promoted slot's live bytes are at its spare line. Headers and
+ * slots never cross a 64-byte line, so one translation per read
+ * suffices. @p onRegion may write to the header's media address.
+ */
+void walkLogImage(const mem::BackingStore &image, const AddressMap &map,
+                  const std::function<void(const ImageRegion &)> &onRegion,
+                  const std::function<void(const ImageSlot &)> &onSlot);
 
 /**
  * Debug dump of the log window in @p image: header fields plus the

@@ -3,13 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdarg>
-#include <cstdio>
 #include <optional>
 #include <thread>
 #include <unordered_set>
 #include <utility>
 
+#include "core/flag_table.hh"
 #include "crashlab/trace.hh"
 #include "mem/remap_table.hh"
 #include "persist/recovery.hh"
@@ -28,24 +27,6 @@ constexpr std::uint64_t kLine = mem::RemapTable::kLineBytes;
 // backed by 32 KB of spare lines.
 constexpr std::uint64_t kDefaultRemapBytes = 16 * 1024;
 constexpr std::uint64_t kDefaultSpareBytes = 32 * 1024;
-
-std::string
-format(const char *fmt, ...)
-{
-    char buf[512];
-    va_list ap;
-    va_start(ap, fmt);
-    std::vsnprintf(buf, sizeof(buf), fmt, ap);
-    va_end(ap);
-    return buf;
-}
-
-void
-fail(std::vector<Violation> &out, const char *invariant,
-     std::string detail)
-{
-    out.push_back(Violation{invariant, std::move(detail)});
-}
 
 } // namespace
 
@@ -87,7 +68,7 @@ checkRecoveryReentrancy(const mem::BackingStore &image,
             persist::Recovery::run(probe, map, cut);
         if (r1.writesIssued != total) {
             fail(out, "recovery-reentrant",
-                 format("pass interrupted at budget %llu planned %llu "
+                 strfmt("pass interrupted at budget %llu planned %llu "
                         "line writes but the uninterrupted pass "
                         "planned %llu: recovery's write plan must "
                         "depend only on pre-write reads",
@@ -101,7 +82,7 @@ checkRecoveryReentrancy(const mem::BackingStore &image,
         if (auto diff = probe.firstDifference(ref, probe.base(),
                                               probe.size())) {
             fail(out, "recovery-reentrant",
-                 format("recovery interrupted after %llu/%llu line "
+                 strfmt("recovery interrupted after %llu/%llu line "
                         "writes then re-run diverges from the "
                         "uninterrupted pass at 0x%llx",
                         static_cast<unsigned long long>(budget),
@@ -110,7 +91,7 @@ checkRecoveryReentrancy(const mem::BackingStore &image,
         }
     };
 
-    jobs = std::max<std::size_t>(1, std::min(jobs, budgets.size()));
+    jobs = poolSize(jobs, budgets.size());
     if (jobs == 1) {
         for (std::size_t i = 0; i < budgets.size(); ++i) {
             probeAt(i);
@@ -209,7 +190,7 @@ runLifecycle(const LifecycleConfig &cfg)
             mem::RemapTable *table = sys.mem().nvram().remap();
             if (table->generation != g - 1) {
                 fail(gr.violations, "superblock-continuity",
-                     format("superblock carries generation %llu at "
+                     strfmt("superblock carries generation %llu at "
                             "the start of generation %u",
                             static_cast<unsigned long long>(
                                 table->generation),
@@ -260,17 +241,8 @@ runLifecycle(const LifecycleConfig &cfg)
         res.perf.snapshotSec += secondsSince(tSnap);
         Clock::time_point tCheck = Clock::now();
 
-        CrashFacts facts;
-        facts.tick = gr.crashTick;
-        facts.txBegun = trace.begunBy(gr.crashTick);
-        // Aborts close with a commit record under undo-capable modes,
-        // so they join the commit-record upper bound.
-        facts.txCommitted = trace.committedBy(gr.crashTick) +
-                            trace.abortedBy(gr.crashTick);
-        facts.txDurableCommits = trace.durableBy(gr.crashTick);
-        facts.threads = params.threads;
-        facts.logWraps = stats.logWraps;
-        facts.mode = cfg.run.mode;
+        CrashFacts facts = trace.factsAt(gr.crashTick, params.threads,
+                                         stats.logWraps, cfg.run.mode);
 
         // I1-I8 on private copies of the (still clean) snapshot. A
         // run under live media faults has a damaged reference image,
@@ -316,7 +288,7 @@ runLifecycle(const LifecycleConfig &cfg)
 
         if (gr.recovery.remapCorrupt) {
             fail(gr.violations, "remap-table-valid",
-                 format("generation %u: both remap-table banks failed "
+                 strfmt("generation %u: both remap-table banks failed "
                         "their CRC over a nonzero region; the mapping "
                         "is lost and the image cannot be trusted",
                         g));
@@ -334,10 +306,9 @@ runLifecycle(const LifecycleConfig &cfg)
         }
 
         {
-            mem::RemapTable table(map.remapBase(), map.remapSize,
-                                  map.spareBase(), map.spareSize);
-            table.load(image);
-            gr.remapEntries = table.size();
+            auto table = mem::RemapTable::forMap(map);
+            table->load(image);
+            gr.remapEntries = table->size();
         }
 
         // I9 (recovered-durable): the post-recovery image may differ
@@ -370,7 +341,7 @@ runLifecycle(const LifecycleConfig &cfg)
                 Addr line = *diff & ~(kLine - 1);
                 if (!allowed.count(line)) {
                     fail(gr.violations, "recovered-durable",
-                         format("generation %u lost recovered bytes "
+                         strfmt("generation %u lost recovered bytes "
                                 "at 0x%llx: the line differs from the "
                                 "adopted image but was written "
                                 "neither by the generation's "

@@ -6,6 +6,7 @@
 #include <thread>
 #include <utility>
 
+#include "core/flag_table.hh"
 #include "crashlab/lifecycle.hh"
 #include "sim/logging.hh"
 #include "sim/rng.hh"
@@ -131,17 +132,8 @@ runCrashSweep(const SweepConfig &cfg)
     res.perf.checkpointsBuilt = store.checkpointCount();
 
     auto factsAt = [&](Tick t) {
-        CrashFacts f;
-        f.tick = t;
-        f.txBegun = trace.begunBy(t);
-        // Aborts close with a commit record under undo-capable
-        // modes, so they join the commit-record upper bound.
-        f.txCommitted = trace.committedBy(t) + trace.abortedBy(t);
-        f.txDurableCommits = trace.durableBy(t);
-        f.threads = cfg.run.params.threads;
-        f.logWraps = res.refLogWraps;
-        f.mode = cfg.run.mode;
-        return f;
+        return trace.factsAt(t, cfg.run.params.threads, res.refLogWraps,
+                             cfg.run.mode);
     };
     // Evaluate one crash image. @p skipReentrancy drops the
     // interrupted-recovery sweep (each probe multiplies the cost by
@@ -187,10 +179,7 @@ runCrashSweep(const SweepConfig &cfg)
     // per point. Workers only read the (const) System and trace, and
     // write disjoint slots of the outcome vector.
     std::vector<PointOutcome> outcomes(points.size());
-    std::size_t jobs = resolveJobs(cfg.jobs);
-    if (!points.empty())
-        jobs = std::min(jobs, points.size());
-    jobs = std::max<std::size_t>(jobs, 1);
+    std::size_t jobs = poolSize(resolveJobs(cfg.jobs), points.size());
     res.perf.jobsUsed = jobs;
 
     struct WorkerPerf

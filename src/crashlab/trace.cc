@@ -88,32 +88,23 @@ countLE(const std::vector<Tick> &sorted, Tick t)
 
 } // namespace
 
-std::uint64_t
-CrashTrace::begunBy(Tick t) const
+CrashFacts
+CrashTrace::factsAt(Tick t, std::uint32_t threads,
+                    std::uint64_t logWraps, PersistMode mode) const
 {
-    SNF_ASSERT(finalized, "begunBy() before finalize()");
-    return countLE(beginTicks, t);
-}
-
-std::uint64_t
-CrashTrace::committedBy(Tick t) const
-{
-    SNF_ASSERT(finalized, "committedBy() before finalize()");
-    return countLE(commitTicks, t);
-}
-
-std::uint64_t
-CrashTrace::durableBy(Tick t) const
-{
-    SNF_ASSERT(finalized, "durableBy() before finalize()");
-    return countLE(durableTicks, t);
-}
-
-std::uint64_t
-CrashTrace::abortedBy(Tick t) const
-{
-    SNF_ASSERT(finalized, "abortedBy() before finalize()");
-    return countLE(abortTicks, t);
+    SNF_ASSERT(finalized, "factsAt() before finalize()");
+    CrashFacts f;
+    f.tick = t;
+    f.txBegun = countLE(beginTicks, t);
+    // Under undo-capable modes an abort's rollback closes with a
+    // commit record, so initiated aborts join the commit-record upper
+    // bound.
+    f.txCommitted = countLE(commitTicks, t) + countLE(abortTicks, t);
+    f.txDurableCommits = countLE(durableTicks, t);
+    f.threads = threads;
+    f.logWraps = logWraps;
+    f.mode = mode;
+    return f;
 }
 
 } // namespace snf::crashlab

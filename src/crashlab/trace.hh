@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "crashlab/invariants.hh"
 #include "sim/probe.hh"
 #include "sim/types.hh"
 
@@ -67,21 +68,14 @@ class CrashTrace
      */
     std::vector<CrashPoint> harvest(Tick endTick) const;
 
-    /** Transactions begun with begin-tick <= @p t. */
-    std::uint64_t begunBy(Tick t) const;
-
-    /** Transactions whose commit *initiated* by @p t. */
-    std::uint64_t committedBy(Tick t) const;
-
-    /** Transactions whose commit record was *durable* by @p t. */
-    std::uint64_t durableBy(Tick t) const;
-
     /**
-     * Transactions whose abort initiated by @p t. Under undo-capable
-     * modes the rollback closes with a commit record, so these count
-     * toward the commit-record upper bound.
+     * The checkers' facts at crash tick @p t of a run of @p threads
+     * threads under @p mode that wrapped its log @p logWraps times:
+     * transactions begun, commits (and aborts) initiated, and commit
+     * records durable by @p t. Requires finalize().
      */
-    std::uint64_t abortedBy(Tick t) const;
+    CrashFacts factsAt(Tick t, std::uint32_t threads,
+                       std::uint64_t logWraps, PersistMode mode) const;
 
   private:
     std::vector<Event> stream;

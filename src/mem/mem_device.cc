@@ -11,12 +11,14 @@ namespace snf::mem
 {
 
 MemDevice::MemDevice(std::string name, const MemDeviceConfig &config,
-                     Addr base)
+                     Addr base, std::uint64_t size,
+                     std::unique_ptr<RemapTable> remap)
     : devName(std::move(name)),
       cfg(config),
       baseAddr(base),
-      backing(base, config.sizeBytes),
+      backing(base, size),
       faults(config.faults, config.rowBytes),
+      remapTable(std::move(remap)),
       banks(config.banks),
       statGroup(devName),
       reads(statGroup.counter("reads")),
@@ -35,9 +37,6 @@ MemDevice::MemDevice(std::string name, const MemDeviceConfig &config,
       faultExaminedBytes(statGroup.counter("fault_examined_bytes")),
       remappedLines(statGroup.counter("remapped_lines"))
 {
-    if (cfg.remapSize != 0)
-        remapTable = std::make_unique<RemapTable>(
-            cfg.remapBase, cfg.remapSize, cfg.spareBase, cfg.spareSize);
     fastMedia = !faults.enabled();
 }
 
@@ -215,7 +214,7 @@ MemDevice::access(bool write, Addr addr, std::uint64_t size,
         start = std::max({now, logChannelBusy,
                           bank.logWriteBusyUntil,
                           bank.readBusyUntil});
-        lat = sequentialWriteCycles(size) - cfg.burstCycles;
+        lat = sequentialWriteCycles(cfg, size) - cfg.burstCycles;
         row_hit = true;
     } else {
         // Posted data write-backs drain behind everything else.
@@ -320,8 +319,7 @@ MemDevice::remapLine(Addr lineAddr, Tick now)
     lineAddr &= ~static_cast<Addr>(RemapTable::kLineBytes - 1);
     // Reject lines inside the remap/spare metadata itself — mapping
     // the table through itself would recurse.
-    if (lineAddr >= cfg.remapBase &&
-        lineAddr < cfg.spareBase + cfg.spareSize)
+    if (remapTable->inMetadata(lineAddr))
         return false;
     std::uint8_t buf[RemapTable::kLineBytes];
     mediaRead(lineAddr, sizeof(buf), buf);
@@ -414,7 +412,8 @@ MemDevice::WearReport::hottestRowLifetimeSeconds(
 }
 
 Tick
-MemDevice::sequentialWriteCycles(std::uint64_t size) const
+MemDevice::sequentialWriteCycles(const MemDeviceConfig &cfg,
+                                 std::uint64_t size)
 {
     // Streaming writes are posted into the open row buffer (SRAM
     // latency, hidden behind the burst); the PCM array write is paid

@@ -37,8 +37,14 @@ class MemDevice
         bool rowHit; ///< whether the access hit an open row
     };
 
+    /**
+     * A device over [base, base+size). @p remap, when given, is the
+     * bad-line remap table (lifelab) the device translates promoted
+     * lines through.
+     */
     MemDevice(std::string name, const MemDeviceConfig &config,
-              Addr base);
+              Addr base, std::uint64_t size,
+              std::unique_ptr<RemapTable> remap = nullptr);
 
     /**
      * Perform an access of @p size bytes at @p addr.
@@ -68,7 +74,7 @@ class MemDevice
     void functionalWrite(Addr addr, std::uint64_t size, const void *in);
 
     /** True when this device carries a bad-line remap region. */
-    bool remapActive() const { return cfg.remapSize != 0; }
+    bool remapActive() const { return remapTable != nullptr; }
 
     RemapTable *remap() { return remapTable.get(); }
     const RemapTable *remap() const { return remapTable.get(); }
@@ -142,11 +148,13 @@ class MemDevice
     Tick earliestDone(Addr addr, bool write, Tick now) const;
 
     /**
-     * Sustained write service time per access of @p size bytes,
-     * assuming sequential (row-hit) traffic. Used to derive the FWB
-     * frequency from NVRAM write bandwidth (Section IV-D).
+     * Sustained write service time per access of @p size bytes to a
+     * device of @p config, assuming sequential (row-hit) traffic.
+     * Used to derive the FWB frequency from NVRAM write bandwidth
+     * (Section IV-D).
      */
-    Tick sequentialWriteCycles(std::uint64_t size) const;
+    static Tick sequentialWriteCycles(const MemDeviceConfig &config,
+                                      std::uint64_t size);
 
     /** Endurance / lifetime accounting (paper Section III-F). */
     struct WearReport

@@ -12,8 +12,10 @@ MemorySystem::MemorySystem(const SystemConfig &config)
     : cfg(config),
       statGroup("mem"),
       l2("l2", config.l2),
-      nvramDev("nvram", config.nvram, config.map.nvramBase),
-      dramDev("dram", config.dram, config.map.dramBase),
+      nvramDev("nvram", config.nvram, config.map.nvramBase,
+               config.map.nvramSize, RemapTable::forMap(config.map)),
+      dramDev("dram", config.dram, config.map.dramBase,
+              config.map.dramSize),
       wcbuf(nvramDev, config.persist.wcbEntries, config.l1.lineBytes),
       coherenceInvalidations(statGroup.counter("coherence_invals")),
       cacheToCacheTransfers(statGroup.counter("cache_to_cache"))

@@ -45,6 +45,15 @@ RemapTable::RemapTable(Addr remapBase, std::uint64_t remapSize,
                "remap bank smaller than its header");
 }
 
+std::unique_ptr<RemapTable>
+RemapTable::forMap(const AddressMap &map)
+{
+    if (map.remapSize == 0)
+        return nullptr;
+    return std::make_unique<RemapTable>(map.remapBase(), map.remapSize,
+                                        map.spareBase(), map.spareSize);
+}
+
 Addr
 RemapTable::bankBase(std::uint32_t bank) const
 {
@@ -67,6 +76,15 @@ RemapTable::find(Addr lineAddr) const
         if (e.orig == lineAddr)
             return e.spare;
     return std::nullopt;
+}
+
+Addr
+RemapTable::translate(Addr addr) const
+{
+    Addr line = addr & ~static_cast<Addr>(kLineBytes - 1);
+    if (auto spare = find(line))
+        return *spare + (addr - line);
+    return addr;
 }
 
 std::optional<Addr>
@@ -237,10 +255,7 @@ RemapTable::wellFormed() const
         const Entry &e = table[i];
         if ((e.orig & (kLineBytes - 1)) != 0)
             return false;
-        // Original lines must live outside the remap/spare metadata
-        // (remapping the table through itself would recurse).
-        if (e.orig >= regionBase &&
-            e.orig < spareRegionBase + spareRegionSize)
+        if (inMetadata(e.orig))
             return false;
         if (e.spare != spareRegionBase +
                            static_cast<Addr>(i) * kLineBytes)

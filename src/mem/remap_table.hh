@@ -26,9 +26,11 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <vector>
 
+#include "core/system_config.hh"
 #include "sim/types.hh"
 
 namespace snf::mem
@@ -60,6 +62,10 @@ class RemapTable
     RemapTable(Addr remapBase, std::uint64_t remapSize, Addr spareBase,
                std::uint64_t spareSize);
 
+    /** The table over @p map's remap and spare regions; null when the
+     *  map has no remap region. */
+    static std::unique_ptr<RemapTable> forMap(const AddressMap &map);
+
     /** Max entries: bounded by bank space and by spare lines. */
     std::uint64_t capacity() const;
 
@@ -71,6 +77,19 @@ class RemapTable
 
     /** Spare line serving @p lineAddr, if promoted. */
     std::optional<Addr> find(Addr lineAddr) const;
+
+    /** Where the byte at @p addr lives: in its line's spare once the
+     *  line is promoted, else at @p addr. */
+    Addr translate(Addr addr) const;
+
+    /** True inside the remap and spare regions, which no promotion may
+     *  cover (remapping the table through itself would recurse). */
+    bool
+    inMetadata(Addr lineAddr) const
+    {
+        return lineAddr >= regionBase &&
+               lineAddr < spareRegionBase + spareRegionSize;
+    }
 
     /**
      * Promote @p lineAddr (64-byte aligned): assign the next spare

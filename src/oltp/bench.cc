@@ -6,6 +6,7 @@
 #include <sstream>
 #include <thread>
 
+#include "core/flag_table.hh"
 #include "persist/log_buffer.hh"
 #include "sim/json.hh"
 #include "sim/logging.hh"
@@ -179,7 +180,7 @@ runOltpMatrix(const std::vector<OltpCellSpec> &cells,
               const OltpMatrixConfig &cfg)
 {
     std::vector<OltpCellResult> results(cells.size());
-    unsigned jobs = std::max(1u, cfg.jobs);
+    std::size_t jobs = poolSize(cfg.jobs, cells.size());
     if (jobs == 1) {
         for (std::size_t i = 0; i < cells.size(); ++i)
             results[i] = runOltpCell(cells[i], cfg);
@@ -187,7 +188,7 @@ runOltpMatrix(const std::vector<OltpCellSpec> &cells,
     }
     std::atomic<std::size_t> next{0};
     std::vector<std::thread> pool;
-    for (unsigned j = 0; j < jobs; ++j)
+    for (std::size_t j = 0; j < jobs; ++j)
         pool.emplace_back([&] {
             for (;;) {
                 std::size_t i = next.fetch_add(1);

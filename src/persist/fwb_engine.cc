@@ -1,17 +1,25 @@
 #include "persist/fwb_engine.hh"
 
-#include "persist/log_record.hh"
+#include "mem/mem_device.hh"
+#include "persist/log_region.hh"
 #include "sim/logging.hh"
 
 namespace snf::persist
 {
+
+namespace
+{
+
+/** Cycles of cache-port busy time charged per scanned line. */
+constexpr double kScanCostPerLine = 0.05;
+
+} // namespace
 
 FwbEngine::FwbEngine(mem::MemorySystem &memory, sim::EventQueue &evq,
                      const PersistConfig &config,
                      std::uint32_t logPartitions)
     : mem(memory),
       events(evq),
-      cfg(config),
       scanPeriod(config.fwbPeriod != 0
                      ? config.fwbPeriod
                      : derivePeriod(memory.config(), logPartitions)),
@@ -26,13 +34,12 @@ Tick
 FwbEngine::derivePeriod(const SystemConfig &config,
                         std::uint32_t partitions)
 {
-    std::uint64_t slots = (config.persist.logBytes / partitions - 64) /
-                          LogRecord::kSlotBytes;
+    std::uint64_t slots = LogRegion::slotsIn(
+        LogRegion::span(config.map, 0, partitions).bytes);
     // Sequential log-entry write service time at full NVRAM write
     // bandwidth; two slots coalesce per 64-byte line.
-    mem::MemDevice probe("probe", config.nvram, config.map.nvramBase);
-    Tick per_line =
-        probe.sequentialWriteCycles(2 * LogRecord::kSlotBytes);
+    Tick per_line = mem::MemDevice::sequentialWriteCycles(
+        config.nvram, 2 * LogRecord::kSlotBytes);
     Tick t_wrap = slots / 2 * per_line;
     Tick period = t_wrap / 8;
     return period == 0 ? 1 : period;
@@ -59,7 +66,7 @@ FwbEngine::scheduleNext(Tick now)
 void
 FwbEngine::scan(Tick now)
 {
-    auto result = mem.fwbScanAll(now, cfg.fwbScanCostPerLine);
+    auto result = mem.fwbScanAll(now, kScanCostPerLine);
     scans.inc();
     flagged.inc(result.linesFlagged);
     forcedWritebacks.inc(result.linesWrittenBack);

@@ -78,7 +78,6 @@ class FwbEngine
 
     mem::MemorySystem &mem;
     sim::EventQueue &events;
-    PersistConfig cfg;
     Tick scanPeriod;
     bool running = false;
     sim::ProbeFn probe;

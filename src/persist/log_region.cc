@@ -23,7 +23,7 @@ LogRegion::LogRegion(Addr base, std::uint64_t size,
       regionBase(base),
       regionSize(size),
       nvram(dev),
-      slots((size - kHeaderBytes) / LogRecord::kSlotBytes),
+      slots(slotsIn(size)),
       meta(slots)
 {
     SNF_ASSERT(slots > 2, "log too small: %llu slots",
@@ -248,7 +248,7 @@ LogRegion::grow(std::uint64_t newBytes, Tick now)
     SNF_ASSERT(newBytes > kHeaderBytes + 2 * LogRecord::kSlotBytes,
                "log_grow target too small");
     regionSize = newBytes;
-    slots = (newBytes - kHeaderBytes) / LogRecord::kSlotBytes;
+    slots = slotsIn(newBytes);
     meta.assign(slots, SlotMeta{});
     tail = 0;
     pass = 1;

@@ -63,6 +63,34 @@ class LogRegion
         Tick readyAt;
     };
 
+    /** Where one circular region of a log area lies. */
+    struct Span
+    {
+        Addr base;
+        std::uint64_t bytes;
+    };
+
+    /**
+     * Region @p i of @p map's log area split into @p regions equal
+     * circular regions: per-core partitions (Section III-F) or
+     * address-interleaved shards (shardlab). Everything that places
+     * or walks a region (System, recovery, faultlab, the FWB period)
+     * goes through here.
+     */
+    static Span
+    span(const AddressMap &map, std::uint32_t i, std::uint32_t regions)
+    {
+        std::uint64_t bytes = map.logSize / regions;
+        return {map.logBase() + i * bytes, bytes};
+    }
+
+    /** Slots a region of @p bytes holds after its header. */
+    static constexpr std::uint64_t
+    slotsIn(std::uint64_t bytes)
+    {
+        return (bytes - kHeaderBytes) / LogRecord::kSlotBytes;
+    }
+
     /** A log region over [base, base+size) in NVRAM. */
     LogRegion(Addr base, std::uint64_t size, mem::MemDevice &nvram,
               const std::string &statName = "log");

@@ -59,8 +59,8 @@ class LogScrubber
     void addRegion(LogRegion *region);
 
     /**
-     * Scrub the next chunk (scrubChunkSlots slots, default 1/256th
-     * of the total) and check remap-bank redundancy. Called from the
+     * Scrub the next chunk (1/256th of the total slots) and check
+     * remap-bank redundancy. Called from the
      * FWB scan hook or the self-scheduled event.
      */
     void step(Tick now);

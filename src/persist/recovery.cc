@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstring>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <vector>
@@ -43,16 +44,7 @@ struct ImageIO
     std::uint64_t applied = 0;
     std::vector<Addr> touched;
 
-    Addr
-    translate(Addr a) const
-    {
-        if (!remap)
-            return a;
-        Addr line = a & ~static_cast<Addr>(kLineBytes - 1);
-        if (auto spare = remap->find(line))
-            return *spare + (a - line);
-        return a;
-    }
+    Addr translate(Addr a) const { return remap ? remap->translate(a) : a; }
 
     void
     read(Addr a, std::uint64_t n, void *out) const
@@ -250,7 +242,6 @@ analyze(const ImageIO &io, const AddressMap &map, bool faultIgnoreCrc,
     RecoveryReport &report = an.report;
     report = RecoveryReport{};
     const std::uint32_t nRegions = map.logRegionCount();
-    const std::uint64_t region_bytes = map.logSize / nRegions;
 
     std::vector<RegionScan> &sc = an.sc;
     sc.assign(nRegions, RegionScan{});
@@ -264,15 +255,15 @@ analyze(const ImageIO &io, const AddressMap &map, bool faultIgnoreCrc,
     // flag view.
     for (std::uint32_t s = 0; s < nRegions; ++s) {
         RegionScan &sh = sc[s];
-        sh.base = map.logBase() + s * region_bytes;
+        const LogRegion::Span span = LogRegion::span(map, s, nRegions);
+        sh.base = span.base;
         sh.slot0 = sh.base + LogRegion::kHeaderBytes;
         ShardSummary &summ = report.shards[s];
         summ.shard = s;
         std::uint64_t magic = io.read64(sh.base);
         std::uint64_t slots = io.read64(sh.base + 8);
         if (magic != LogRegion::kMagic || slots == 0 ||
-            slots > (region_bytes - LogRegion::kHeaderBytes) /
-                        LogRecord::kSlotBytes) {
+            slots > LogRegion::slotsIn(span.bytes)) {
             summ.dead = true;
             deadMask |= 1ULL << s;
             continue;
@@ -890,13 +881,10 @@ Recovery::run(mem::BackingStore &image, const AddressMap &map,
 
     // The write budget, the remap table, and the touched-line set
     // span the whole pass over every log region.
-    mem::RemapTable remap(map.remapBase(), map.remapSize ? map.remapSize
-                                                         : 128,
-                          map.spareBase(), map.spareSize);
-    bool have_remap = map.remapSize != 0;
-    bool remap_corrupt = have_remap && remap.load(image).corrupted;
+    std::unique_ptr<mem::RemapTable> remap = mem::RemapTable::forMap(map);
+    bool remap_corrupt = remap && remap->load(image).corrupted;
     ImageIO io(image);
-    io.remap = have_remap ? &remap : nullptr;
+    io.remap = remap.get();
     io.budget = opts.crashAfterWrites;
     io.collect = opts.collectWrites;
     io.probe = &opts.probe;
@@ -923,7 +911,7 @@ Recovery::run(mem::BackingStore &image, const AddressMap &map,
     }
     RecoveryReport r =
         apply(io, memo.analysis, opts,
-              have_remap && opts.promoteBadLines ? &remap : nullptr);
+              opts.promoteBadLines ? remap.get() : nullptr);
     r.remapCorrupt = remap_corrupt;
     r.writesIssued = io.issued;
     r.writesApplied = io.applied;

@@ -259,6 +259,32 @@ TEST(LogShardsFlag, AcceptsTheFullMaskRange)
     EXPECT_EQ(logShards("64"), 64u);
 }
 
+TEST(JobsFlag, AcceptsZeroThroughTheBound)
+{
+    EXPECT_EQ(countFlag("--jobs", "0", CountRange::Jobs), 0u);
+    EXPECT_EQ(countFlag("--jobs", "256", CountRange::Jobs), kMaxJobs);
+}
+
+TEST(JobsFlagDeathTest, RejectsCountsAboveTheBound)
+{
+    // One host thread per job: a huge count must not reach a pool.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(countFlag("--jobs", "257", CountRange::Jobs),
+                ::testing::ExitedWithCode(1),
+                "--jobs needs a worker count <= 256, got '257'");
+    EXPECT_EXIT(countFlag("--jobs", "4294967297", CountRange::Jobs),
+                ::testing::ExitedWithCode(1),
+                "--jobs needs a worker count <= 256, got '4294967297'");
+}
+
+TEST(PoolSize, NoMoreWorkersThanItemsAndAtLeastOne)
+{
+    EXPECT_EQ(poolSize(4, 12), 4u);
+    EXPECT_EQ(poolSize(kMaxJobs, 12), 12u); // snfoltp's 12 cells
+    EXPECT_EQ(poolSize(0, 12), 1u);
+    EXPECT_EQ(poolSize(8, 0), 1u);
+}
+
 TEST(PositiveCountFlag, AcceptsAnyNonzeroCount)
 {
     EXPECT_EQ(countFlag("--threads", "1", CountRange::Positive), 1u);

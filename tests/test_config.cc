@@ -61,7 +61,7 @@ TEST(SystemConfig, PaperPresetMatchesTableII)
     EXPECT_EQ(c.nvram.readConflictLat, 250u); // 100 ns
     EXPECT_EQ(c.nvram.writeConflictLat, 750u); // 300 ns
     EXPECT_DOUBLE_EQ(c.nvram.arrayWritePjBit, 16.82);
-    EXPECT_EQ(c.persist.logBytes, 4ULL << 20);
+    EXPECT_EQ(c.map.logSize, 4ULL << 20);
     EXPECT_EQ(c.persist.logBufferEntries, 15u);
 }
 
@@ -71,7 +71,7 @@ TEST(SystemConfig, ScaledShrinksCapacityKeepsTiming)
     SystemConfig s = SystemConfig::scaled();
     EXPECT_LT(s.l1.sizeBytes, p.l1.sizeBytes);
     EXPECT_EQ(p.l2.sizeBytes / s.l2.sizeBytes, 16u);
-    EXPECT_EQ(p.persist.logBytes / s.persist.logBytes, 16u);
+    EXPECT_EQ(p.map.logSize / s.map.logSize, 16u);
     // Latencies and bandwidths are untouched: only capacity scales.
     EXPECT_EQ(p.l1.latency, s.l1.latency);
     EXPECT_EQ(p.l2.latency, s.l2.latency);
@@ -100,17 +100,37 @@ TEST(AddressMap, RangesDisjoint)
     EXPECT_EQ(map.heapBase(), map.nvramBase + map.logSize);
 }
 
+TEST(AddressMap, DevicesTakeTheirRangesFromIt)
+{
+    SystemConfig c = SystemConfig::scaled(1);
+    c.map.nvramSize = 64ULL << 20;
+    c.map.dramSize = 16ULL << 20;
+    System sys(c, PersistMode::Fwb);
+    const mem::BackingStore &nv = sys.mem().nvram().store();
+    EXPECT_EQ(nv.base(), c.map.nvramBase);
+    EXPECT_EQ(nv.size(), c.map.nvramSize);
+    EXPECT_EQ(sys.mem().dram().store().size(), c.map.dramSize);
+}
+
 TEST(FwbEngine, PeriodScalesLinearlyWithLogSize)
 {
     SystemConfig c = SystemConfig::scaled();
-    c.persist.logBytes = 256 * 1024;
-    c.map.logSize = c.persist.logBytes;
+    c.map.logSize = 256 * 1024;
     Tick p1 = persist::FwbEngine::derivePeriod(c, 1);
-    c.persist.logBytes = 1024 * 1024;
-    c.map.logSize = c.persist.logBytes;
+    c.map.logSize = 1024 * 1024;
     Tick p4 = persist::FwbEngine::derivePeriod(c, 1);
     EXPECT_NEAR(static_cast<double>(p4) / static_cast<double>(p1),
                 4.0, 0.1);
+}
+
+TEST(FwbEngine, PresetPeriodsArePinned)
+{
+    // Every FWB-mode counter moves with these periods.
+    using persist::FwbEngine;
+    EXPECT_EQ(FwbEngine::derivePeriod(SystemConfig::scaled(), 1), 17915u);
+    EXPECT_EQ(FwbEngine::derivePeriod(SystemConfig::scaled(), 4), 4475u);
+    EXPECT_EQ(FwbEngine::derivePeriod(SystemConfig::paper(), 1), 286715u);
+    EXPECT_EQ(FwbEngine::derivePeriod(SystemConfig::paper(), 4), 71675u);
 }
 
 TEST(FwbEngine, PeriodPacesPerCorePartitionsNotShards)

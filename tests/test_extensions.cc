@@ -150,8 +150,7 @@ TEST(DistributedLogs, RecoveryReentrantAcrossPartitions)
     SystemConfig cfg = distCfg(4, /*journal=*/true);
     // 16 KB partitions keep the truncation (and so the number of
     // interrupt points) small.
-    cfg.persist.logBytes = 64 * 1024;
-    cfg.map.logSize = cfg.persist.logBytes;
+    cfg.map.logSize = 64 * 1024;
     System sys(cfg, PersistMode::Fwb);
     auto workload = makeWorkload("hash");
     WorkloadParams params;
@@ -170,12 +169,9 @@ TEST(DistributedLogs, RecoveryReentrantAcrossPartitions)
     const AddressMap &map = sys.config().map;
     ASSERT_EQ(map.logRegionCount(), 4u);
 
-    std::uint64_t part_bytes = map.logSize / 4;
     for (std::uint32_t p = 0; p < 4; ++p) {
         std::uint8_t slot[persist::LogRecord::kSlotBytes];
-        image.read(map.logBase() + p * part_bytes +
-                       persist::LogRegion::kHeaderBytes,
-                   sizeof(slot), slot);
+        image.read(sys.logPartition(p).slotAddr(0), sizeof(slot), slot);
         EXPECT_EQ(persist::classifySlot(slot).cls,
                   persist::SlotClass::Valid)
             << "partition " << p << " holds no records";
@@ -202,12 +198,9 @@ TEST(DistributedLogs, NoThreadIdNeededPerRecord)
     }
     Tick end = sys.run();
     mem::BackingStore snap = sys.crashSnapshot(end);
-    std::uint64_t part_bytes = cfg.map.logSize / 2;
     for (std::uint32_t p = 0; p < 2; ++p) {
-        Addr slot0 = cfg.map.logBase() + p * part_bytes +
-                     persist::LogRegion::kHeaderBytes;
         std::uint8_t img[persist::LogRecord::kSlotBytes];
-        snap.read(slot0, sizeof(img), img);
+        snap.read(sys.logPartition(p).slotAddr(0), sizeof(img), img);
         bool torn = false;
         auto rec = persist::LogRecord::deserialize(img, torn);
         ASSERT_TRUE(rec.has_value());
@@ -219,9 +212,7 @@ TEST(DistributedLogs, NoThreadIdNeededPerRecord)
 
 TEST(Wear, ReportCountsRowWrites)
 {
-    MemDeviceConfig cfg;
-    cfg.sizeBytes = 1 << 24;
-    mem::MemDevice dev("w", cfg, 0);
+    mem::MemDevice dev("w", {}, 0, 1 << 24);
     std::uint8_t buf[64] = {};
     for (int i = 0; i < 10; ++i)
         dev.access(true, 0, 64, buf, nullptr, i * 1000);
@@ -265,7 +256,6 @@ TEST(Wear, LogRegionWearsUniformly)
     spec.params.txPerThread = 3000;
     spec.params.footprint = 1024;
     spec.sys = SystemConfig::scaled(1);
-    spec.sys.persist.logBytes = 32 * 1024;
     spec.sys.map.logSize = 32 * 1024;
     auto outcome = runWorkload(spec);
     ASSERT_GT(outcome.stats.logWraps, 1u);

@@ -41,8 +41,7 @@ class ImageLog
     ImageLog(mem::BackingStore &image, const AddressMap &map)
         : image(image), map(map)
     {
-        slots = (map.logSize - LogRegion::kHeaderBytes) /
-                LogRecord::kSlotBytes;
+        slots = LogRegion::slotsIn(map.logSize);
         std::uint64_t magic = LogRegion::kMagic;
         image.write(map.logBase(), 8, &magic);
         image.write(map.logBase() + 8, 8, &slots);
@@ -248,9 +247,7 @@ TEST(LogRecordV2, EveryFlipInDrainedWindowDetectedAcrossModes)
         const mem::BackingStore &img = sys.mem().nvram().store();
 
         const AddressMap &map = sys.config().map;
-        std::uint64_t slots =
-            (map.logSize - LogRegion::kHeaderBytes) /
-            LogRecord::kSlotBytes;
+        std::uint64_t slots = LogRegion::slotsIn(map.logSize);
         std::uint64_t checked = 0;
         for (std::uint64_t s = 0; s < slots && checked < 24; ++s) {
             Addr addr = map.logBase() + LogRegion::kHeaderBytes +
@@ -792,7 +789,7 @@ struct RegionFixture
     LogRegion lr;
 
     RegionFixture()
-        : map(makeMap()), nv("nv", nvCfg(), map.nvramBase),
+        : map(makeMap()), nv("nv", {}, map.nvramBase, 1 << 24),
           lr(map, nv)
     {
         lr.create();
@@ -804,14 +801,6 @@ struct RegionFixture
         AddressMap m;
         m.logSize = 4096; // 126 slots
         return m;
-    }
-
-    static MemDeviceConfig
-    nvCfg()
-    {
-        MemDeviceConfig cfg;
-        cfg.sizeBytes = 1 << 24;
-        return cfg;
     }
 
     /** Fill every slot with live update records bound to @p txSeq. */

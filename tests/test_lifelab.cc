@@ -68,8 +68,7 @@ class ImageLog
     ImageLog(mem::BackingStore &image, const AddressMap &map)
         : image(image), map(map)
     {
-        slots = (map.logSize - LogRegion::kHeaderBytes) /
-                LogRecord::kSlotBytes;
+        slots = LogRegion::slotsIn(map.logSize);
         std::uint64_t magic = LogRegion::kMagic;
         image.write(map.logBase(), 8, &magic);
         image.write(map.logBase() + 8, 8, &slots);
@@ -193,22 +192,8 @@ struct RecoveryFixture
 /** A MemDevice with an active remap region (device-level tests). */
 struct DeviceFixture
 {
-    MemDeviceConfig cfg;
-    mem::MemDevice dev;
-
-    DeviceFixture() : cfg(makeCfg()), dev("nvram", cfg, 0) {}
-
-    static MemDeviceConfig
-    makeCfg()
-    {
-        MemDeviceConfig c;
-        c.sizeBytes = 1 << 20;
-        c.remapBase = kRemapBase;
-        c.remapSize = kRemapSize;
-        c.spareBase = kSpareBase;
-        c.spareSize = kSpareSize;
-        return c;
-    }
+    mem::MemDevice dev{"nvram", {}, 0, 1 << 20,
+                       std::make_unique<mem::RemapTable>(makeTable())};
 };
 
 } // namespace
@@ -241,6 +226,16 @@ TEST(RemapTable, PersistLoadRoundtripCarriesSuperblock)
     ASSERT_TRUE(r.find(origLine(1)).has_value());
     EXPECT_EQ(*r.find(origLine(1)), *t.find(origLine(1)));
     EXPECT_FALSE(r.find(origLine(9)).has_value());
+}
+
+TEST(RemapTable, TranslateMovesOnlyPromotedLines)
+{
+    mem::RemapTable t = makeTable();
+    const Addr spare = *t.add(origLine(1));
+    EXPECT_EQ(t.translate(origLine(1)), spare);
+    EXPECT_EQ(t.translate(origLine(1) + 40), spare + 40);
+    EXPECT_EQ(t.translate(origLine(0) + 40), origLine(0) + 40);
+    EXPECT_EQ(t.translate(origLine(2)), origLine(2));
 }
 
 TEST(RemapTable, NeverPersistedRegionLoadsFresh)
@@ -576,13 +571,12 @@ TEST(LifelabRecovery, SalvagesQuarantinesAndPromotes)
     // The damaged slot's line was promoted into the remap table.
     EXPECT_GE(rep.promotedLines, 1u);
     EXPECT_FALSE(rep.remapCorrupt);
-    mem::RemapTable r(f.map.remapBase(), f.map.remapSize,
-                      f.map.spareBase(), f.map.spareSize);
-    mem::RemapTable::LoadResult lr = r.load(img);
+    auto r = mem::RemapTable::forMap(f.map);
+    mem::RemapTable::LoadResult lr = r->load(img);
     EXPECT_FALSE(lr.corrupted);
     EXPECT_GE(lr.entriesLoaded, 1u);
     EXPECT_TRUE(
-        r.find(f.damagedSlotAddr & ~Addr(63)).has_value());
+        r->find(f.damagedSlotAddr & ~Addr(63)).has_value());
 
     // Truncation completed: slots zeroed, flag lowered, header alive.
     EXPECT_EQ(
@@ -592,14 +586,34 @@ TEST(LifelabRecovery, SalvagesQuarantinesAndPromotes)
         std::uint8_t raw[LogRecord::kSlotBytes];
         std::uint8_t zeros[LogRecord::kSlotBytes] = {};
         // Read through the promoted line's spare mapping.
-        Addr a = f.log.slotAddr(s);
-        if (auto sp = r.find(a & ~Addr(63)))
-            a = *sp + (a & 63);
-        img.read(a, sizeof(raw), raw);
+        img.read(r->translate(f.log.slotAddr(s)), sizeof(raw), raw);
         EXPECT_EQ(std::memcmp(raw, zeros, sizeof(raw)), 0)
             << "slot " << s;
     }
     EXPECT_EQ(img.read64(f.map.logBase()), LogRegion::kMagic);
+}
+
+TEST(LifelabRecovery, LogDumpReadsAPromotedSlotsLiveBytes)
+{
+    // Promote the line holding slot 0 (tx 1's update), then put a
+    // different record at the spare: the dump must show the spare.
+    RecoveryFixture f;
+    const Addr line = f.log.slotAddr(0);
+    auto table = mem::RemapTable::forMap(f.map);
+    const Addr spare = *table->add(line);
+    ASSERT_TRUE(table->persist(writerTo(f.image)));
+    std::uint8_t bytes[LogRecord::kSlotBytes];
+    LogRecord::update(0, 42, f.data(0), 8, 0x55, 0xAA)
+        .serialize(bytes, true);
+    f.image.write(spare, sizeof(bytes), bytes);
+
+    std::string dump = crashlab::describeLogWindow(f.image, f.map);
+    EXPECT_NE(dump.find("  slot    0 torn=1 tx=42 update"),
+              std::string::npos)
+        << dump;
+    EXPECT_EQ(dump.find("  slot    0 torn=1 tx=1 update"),
+              std::string::npos)
+        << dump;
 }
 
 TEST(LifelabRecovery, WritePlanIsDeterministicUnderBudgets)

@@ -30,13 +30,7 @@ smallMap()
     return map;
 }
 
-MemDeviceConfig
-nvCfg()
-{
-    MemDeviceConfig cfg;
-    cfg.sizeBytes = 1 << 24;
-    return cfg;
-}
+constexpr std::uint64_t kDeviceBytes = 1 << 24;
 
 LogRecord
 rec(std::uint16_t tx, Addr addr, std::uint64_t undo,
@@ -184,7 +178,7 @@ TEST(LogRecord, Crc32MatchesBitwiseDefinition)
 
 TEST(LogRegion, SequentialSlots)
 {
-    mem::MemDevice nv("nv", nvCfg(), smallMap().nvramBase);
+    mem::MemDevice nv("nv", {}, smallMap().nvramBase, kDeviceBytes);
     LogRegion region(smallMap(), nv);
     region.create();
     auto r1 = region.reserve(rec(1, 0, 1, 2), 0);
@@ -196,7 +190,7 @@ TEST(LogRegion, SequentialSlots)
 
 TEST(LogRegion, TornFlipsOnWrap)
 {
-    mem::MemDevice nv("nv", nvCfg(), smallMap().nvramBase);
+    mem::MemDevice nv("nv", {}, smallMap().nvramBase, kDeviceBytes);
     LogRegion region(smallMap(), nv);
     region.create();
     bool first_torn =
@@ -212,7 +206,7 @@ TEST(LogRegion, TornFlipsOnWrap)
 
 TEST(LogRegion, ReclaimHazardOnActiveTx)
 {
-    mem::MemDevice nv("nv", nvCfg(), smallMap().nvramBase);
+    mem::MemDevice nv("nv", {}, smallMap().nvramBase, kDeviceBytes);
     LogRegion region(smallMap(), nv);
     region.create();
     region.setTxActive([](std::uint64_t seq) { return seq == 7; });
@@ -229,7 +223,7 @@ TEST(LogRegion, ReclaimHazardOnActiveTx)
 
 TEST(LogRegion, ReclaimHazardOnUnpersistedData)
 {
-    mem::MemDevice nv("nv", nvCfg(), smallMap().nvramBase);
+    mem::MemDevice nv("nv", {}, smallMap().nvramBase, kDeviceBytes);
     LogRegion region(smallMap(), nv);
     region.create();
     region.setTxActive([](std::uint64_t) { return false; });
@@ -243,7 +237,7 @@ TEST(LogRegion, ReclaimHazardOnUnpersistedData)
 
 TEST(LogRegion, NoHazardWhenDataPersisted)
 {
-    mem::MemDevice nv("nv", nvCfg(), smallMap().nvramBase);
+    mem::MemDevice nv("nv", {}, smallMap().nvramBase, kDeviceBytes);
     LogRegion region(smallMap(), nv);
     region.create();
     region.setTxActive([](std::uint64_t) { return false; });
@@ -255,7 +249,7 @@ TEST(LogRegion, NoHazardWhenDataPersisted)
 
 TEST(LogRegion, CommitRecordsReclaimFreely)
 {
-    mem::MemDevice nv("nv", nvCfg(), smallMap().nvramBase);
+    mem::MemDevice nv("nv", {}, smallMap().nvramBase, kDeviceBytes);
     LogRegion region(smallMap(), nv);
     region.create();
     region.setTxActive([](std::uint64_t) { return true; });
@@ -267,7 +261,7 @@ TEST(LogRegion, CommitRecordsReclaimFreely)
 
 TEST(LogRegion, TruncateResetsAndClearsMarkers)
 {
-    mem::MemDevice nv("nv", nvCfg(), smallMap().nvramBase);
+    mem::MemDevice nv("nv", {}, smallMap().nvramBase, kDeviceBytes);
     LogRegion region(smallMap(), nv);
     region.create();
     auto r = region.reserve(rec(1, 0, 1, 2), 0);
@@ -286,7 +280,7 @@ TEST(LogRegion, TruncateResetsAndClearsMarkers)
 
 TEST(LogRegion, GrowChangesSlotCount)
 {
-    mem::MemDevice nv("nv", nvCfg(), smallMap().nvramBase);
+    mem::MemDevice nv("nv", {}, smallMap().nvramBase, kDeviceBytes);
     LogRegion region(smallMap(), nv);
     region.create();
     std::uint64_t before = region.slotCount();
@@ -299,7 +293,7 @@ TEST(LogRegion, GrowChangesSlotCount)
 
 TEST(LogBuffer, CoalescesAdjacentSlots)
 {
-    mem::MemDevice nv("nv", nvCfg(), smallMap().nvramBase);
+    mem::MemDevice nv("nv", {}, smallMap().nvramBase, kDeviceBytes);
     LogRegion region(smallMap(), nv);
     region.create();
     LogBuffer buf(region, nv, nullptr, 16, 64);
@@ -313,7 +307,7 @@ TEST(LogBuffer, CoalescesAdjacentSlots)
 
 TEST(LogBuffer, DrainMakesRecordsDurable)
 {
-    mem::MemDevice nv("nv", nvCfg(), smallMap().nvramBase);
+    mem::MemDevice nv("nv", {}, smallMap().nvramBase, kDeviceBytes);
     LogRegion region(smallMap(), nv);
     region.create();
     LogBuffer buf(region, nv, nullptr, 16, 64);
@@ -331,7 +325,7 @@ TEST(LogBuffer, DrainMakesRecordsDurable)
 
 TEST(LogBuffer, ZeroCapacityStallsOnBus)
 {
-    mem::MemDevice nv("nv", nvCfg(), smallMap().nvramBase);
+    mem::MemDevice nv("nv", {}, smallMap().nvramBase, kDeviceBytes);
     LogRegion region(smallMap(), nv);
     region.create();
     LogBuffer buf(region, nv, nullptr, 0, 64);
@@ -344,7 +338,7 @@ TEST(LogBuffer, ZeroCapacityStallsOnBus)
 
 TEST(LogBuffer, LargeCapacityAbsorbsBursts)
 {
-    mem::MemDevice nv("nv", nvCfg(), smallMap().nvramBase);
+    mem::MemDevice nv("nv", {}, smallMap().nvramBase, kDeviceBytes);
     LogRegion region(smallMap(), nv);
     region.create();
     LogBuffer buf(region, nv, nullptr, 64, 64);
@@ -357,7 +351,7 @@ TEST(LogBuffer, LargeCapacityAbsorbsBursts)
 
 TEST(LogBuffer, DropAllModelsCrash)
 {
-    mem::MemDevice nv("nv", nvCfg(), smallMap().nvramBase);
+    mem::MemDevice nv("nv", {}, smallMap().nvramBase, kDeviceBytes);
     LogRegion region(smallMap(), nv);
     region.create();
     LogBuffer buf(region, nv, nullptr, 16, 64);
@@ -372,7 +366,7 @@ TEST(LogBuffer, DropAllModelsCrash)
 
 TEST(LogBuffer, ReportsOrderingToMonitor)
 {
-    mem::MemDevice nv("nv", nvCfg(), smallMap().nvramBase);
+    mem::MemDevice nv("nv", {}, smallMap().nvramBase, kDeviceBytes);
     LogRegion region(smallMap(), nv);
     region.create();
     mem::BusMonitor monitor;
@@ -407,7 +401,7 @@ TEST(BusMonitor, TracksLastWriteback)
 
 TEST(Wcb, CoalescesSameLine)
 {
-    mem::MemDevice nv("nv", nvCfg(), 0);
+    mem::MemDevice nv("nv", {}, 0, kDeviceBytes);
     mem::WriteCombineBuffer wcb(nv, 4, 64);
     std::uint64_t v = 1;
     wcb.append(0x100, 8, &v, 0);
@@ -422,7 +416,7 @@ TEST(Wcb, CoalescesSameLine)
 
 TEST(Wcb, EvictsOldestWhenFull)
 {
-    mem::MemDevice nv("nv", nvCfg(), 0);
+    mem::MemDevice nv("nv", {}, 0, kDeviceBytes);
     mem::WriteCombineBuffer wcb(nv, 2, 64);
     std::uint64_t v = 7;
     wcb.append(0x000, 8, &v, 0);
@@ -434,7 +428,7 @@ TEST(Wcb, EvictsOldestWhenFull)
 
 TEST(Wcb, DropAllLosesUnflushed)
 {
-    mem::MemDevice nv("nv", nvCfg(), 0);
+    mem::MemDevice nv("nv", {}, 0, kDeviceBytes);
     mem::WriteCombineBuffer wcb(nv, 4, 64);
     std::uint64_t v = 9;
     wcb.append(0x300, 8, &v, 0);

@@ -16,19 +16,15 @@ using namespace snf::mem;
 namespace
 {
 
-MemDeviceConfig
-pcm()
-{
-    MemDeviceConfig cfg;
-    cfg.sizeBytes = 1 << 24;
-    return cfg; // paper defaults: 90/250/750 + 8 burst, 8 banks
-}
+/** Paper defaults: 90/250/750 + 8 burst, 8 banks. */
+const MemDeviceConfig kPcm;
+constexpr std::uint64_t kBytes = 1 << 24;
 
 } // namespace
 
 TEST(MemDevice, FirstReadIsRowConflict)
 {
-    MemDevice dev("d", pcm(), 0);
+    MemDevice dev("d", kPcm, 0, kBytes);
     std::uint8_t buf[64];
     auto res = dev.access(false, 0, 64, nullptr, buf, 0);
     EXPECT_EQ(res.done, 0u + 250 + 8);
@@ -37,7 +33,7 @@ TEST(MemDevice, FirstReadIsRowConflict)
 
 TEST(MemDevice, SecondReadSameRowHits)
 {
-    MemDevice dev("d", pcm(), 0);
+    MemDevice dev("d", kPcm, 0, kBytes);
     std::uint8_t buf[64];
     auto r1 = dev.access(false, 0, 64, nullptr, buf, 0);
     auto r2 = dev.access(false, 64, 64, nullptr, buf, r1.done);
@@ -47,7 +43,7 @@ TEST(MemDevice, SecondReadSameRowHits)
 
 TEST(MemDevice, DifferentBanksOverlap)
 {
-    MemDevice dev("d", pcm(), 0);
+    MemDevice dev("d", kPcm, 0, kBytes);
     std::uint8_t buf[64];
     // Rows 0 and 1 live on banks 0 and 1.
     auto r1 = dev.access(false, 0, 64, nullptr, buf, 0);
@@ -60,7 +56,7 @@ TEST(MemDevice, DifferentBanksOverlap)
 
 TEST(MemDevice, SameBankSerializes)
 {
-    MemDevice dev("d", pcm(), 0);
+    MemDevice dev("d", kPcm, 0, kBytes);
     std::uint8_t buf[64];
     auto r1 = dev.access(false, 0, 64, nullptr, buf, 0);
     // Same bank (row 0), issued at tick 0: waits for the bank.
@@ -70,7 +66,7 @@ TEST(MemDevice, SameBankSerializes)
 
 TEST(MemDevice, ReadsBypassPostedWrites)
 {
-    MemDevice dev("d", pcm(), 0);
+    MemDevice dev("d", kPcm, 0, kBytes);
     std::uint8_t buf[64] = {};
     // Queue a long data write on bank 0.
     dev.access(true, 0, 64, buf, nullptr, 0);
@@ -81,7 +77,7 @@ TEST(MemDevice, ReadsBypassPostedWrites)
 
 TEST(MemDevice, WriteAcceptanceIsFast)
 {
-    MemDevice dev("d", pcm(), 0);
+    MemDevice dev("d", kPcm, 0, kBytes);
     std::uint8_t buf[64] = {1};
     auto wr = dev.access(true, 0, 64, buf, nullptr, 0);
     // ADR semantics: persistent once accepted (start + burst), not
@@ -91,7 +87,7 @@ TEST(MemDevice, WriteAcceptanceIsFast)
 
 TEST(MemDevice, BackToBackDataWritesSerializeOnBank)
 {
-    MemDevice dev("d", pcm(), 0);
+    MemDevice dev("d", kPcm, 0, kBytes);
     std::uint8_t buf[64] = {};
     auto w1 = dev.access(true, 0, 64, buf, nullptr, 0);
     auto w2 = dev.access(true, 128, 64, buf, nullptr, 0);
@@ -103,18 +99,18 @@ TEST(MemDevice, BackToBackDataWritesSerializeOnBank)
 
 TEST(MemDevice, StreamingLogWritesAreFasterThanConflicts)
 {
-    MemDevice dev("d", pcm(), 0);
+    MemDevice dev("d", kPcm, 0, kBytes);
     std::uint8_t buf[64] = {};
     auto w1 = dev.access(true, 0, 64, buf, nullptr, 0, true);
     auto w2 = dev.access(true, 64, 64, buf, nullptr, w1.done, true);
     Tick per_write = w2.done - w1.done;
     EXPECT_LT(per_write, 90u); // well under even a row-hit write
-    EXPECT_EQ(per_write, dev.sequentialWriteCycles(64));
+    EXPECT_EQ(per_write, MemDevice::sequentialWriteCycles(kPcm, 64));
 }
 
 TEST(MemDevice, LogWritesDoNotCloseDemandRow)
 {
-    MemDevice dev("d", pcm(), 0);
+    MemDevice dev("d", kPcm, 0, kBytes);
     std::uint8_t buf[64];
     auto r1 = dev.access(false, 0, 64, nullptr, buf, 0);
     // A streaming log write to the same bank's other row.
@@ -126,7 +122,7 @@ TEST(MemDevice, LogWritesDoNotCloseDemandRow)
 
 TEST(MemDevice, FunctionalAccessMovesData)
 {
-    MemDevice dev("d", pcm(), 0);
+    MemDevice dev("d", kPcm, 0, kBytes);
     std::uint64_t v = 0x1122334455667788ULL;
     dev.functionalWrite(512, 8, &v);
     std::uint64_t out = 0;
@@ -136,7 +132,7 @@ TEST(MemDevice, FunctionalAccessMovesData)
 
 TEST(MemDevice, TimedWriteVisibleToTimedRead)
 {
-    MemDevice dev("d", pcm(), 0);
+    MemDevice dev("d", kPcm, 0, kBytes);
     std::uint64_t v = 42;
     dev.access(true, 256, 8, &v, nullptr, 0);
     std::uint64_t out = 0;
@@ -146,7 +142,7 @@ TEST(MemDevice, TimedWriteVisibleToTimedRead)
 
 TEST(MemDevice, EnergyAccounting)
 {
-    MemDevice dev("d", pcm(), 0);
+    MemDevice dev("d", kPcm, 0, kBytes);
     std::uint8_t buf[64] = {};
     EXPECT_DOUBLE_EQ(dev.writeEnergyPj.value(), 0.0);
     dev.access(true, 0, 64, buf, nullptr, 0);
@@ -159,7 +155,7 @@ TEST(MemDevice, EnergyAccounting)
 
 TEST(MemDevice, CountersTrackBytes)
 {
-    MemDevice dev("d", pcm(), 0);
+    MemDevice dev("d", kPcm, 0, kBytes);
     std::uint8_t buf[64] = {};
     dev.access(true, 0, 64, buf, nullptr, 0);
     dev.access(true, 64, 16, buf, nullptr, 0);
@@ -172,8 +168,7 @@ TEST(MemDevice, CountersTrackBytes)
 
 TEST(MemDevice, JournalTickMatchesAcceptance)
 {
-    MemDeviceConfig cfg = pcm();
-    MemDevice dev("d", cfg, 0);
+    MemDevice dev("d", kPcm, 0, kBytes);
     dev.store().enableJournal();
     std::uint64_t v = 7;
     auto res = dev.access(true, 0, 8, &v, nullptr, 1000);
@@ -184,11 +179,10 @@ TEST(MemDevice, JournalTickMatchesAcceptance)
 
 TEST(MemDevice, SequentialWriteCyclesScalesWithSize)
 {
-    MemDevice dev("d", pcm(), 0);
-    EXPECT_LT(dev.sequentialWriteCycles(32),
-              dev.sequentialWriteCycles(2048));
+    EXPECT_LT(MemDevice::sequentialWriteCycles(kPcm, 32),
+              MemDevice::sequentialWriteCycles(kPcm, 2048));
     // A full row pays roughly the whole conflict latency.
-    EXPECT_GE(dev.sequentialWriteCycles(2048), 750u);
+    EXPECT_GE(MemDevice::sequentialWriteCycles(kPcm, 2048), 750u);
 }
 
 TEST(MemDeviceDeathTest, TimedLogWriteMustStayWithinOneShardSlice)
@@ -199,7 +193,7 @@ TEST(MemDeviceDeathTest, TimedLogWriteMustStayWithinOneShardSlice)
     // shard — it must fail loudly, not corrupt the neighbor shard's
     // header or slot array.
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    MemDevice dev("d", pcm(), 0);
+    MemDevice dev("d", kPcm, 0, kBytes);
     dev.setLogRegion(0x10000, 0x8000); // 4 slices of 0x2000
     dev.setLogShards(4);
 
@@ -220,7 +214,7 @@ TEST(MemDevice, UnshardedLogWritesAreNotShardChecked)
 {
     // shards == 1 must behave exactly as before shardlab: a log
     // write anywhere inside the region is legal.
-    MemDevice dev("d", pcm(), 0);
+    MemDevice dev("d", kPcm, 0, kBytes);
     dev.setLogRegion(0x10000, 0x8000);
     dev.setLogShards(1);
     std::uint8_t buf[64] = {};

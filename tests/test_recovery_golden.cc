@@ -174,8 +174,7 @@ buildImage(const ImageSpec &spec)
         // Per-core partitions get four times the area: a 4 KB
         // partition leaves too few slots for the hash workload's
         // transactions to make progress.
-        cfg.persist.logBytes = (spec.partitions ? 64 : 16) * 1024;
-        cfg.map.logSize = cfg.persist.logBytes;
+        cfg.map.logSize = (spec.partitions ? 64 : 16) * 1024;
     }
     if (spec.remap) {
         cfg.map.remapSize = 2048;
@@ -205,12 +204,9 @@ buildImage(const ImageSpec &spec)
 
     g.image = sys.crashSnapshot(spec.crashAt);
     g.map = sys.config().map;
-    std::uint64_t regionBytes = g.map.logSize / g.map.logRegionCount();
     for (std::uint32_t r = 0; r < g.map.logRegionCount(); ++r) {
         std::uint8_t slot[persist::LogRecord::kSlotBytes];
-        g.image.read(g.map.logBase() + r * regionBytes +
-                         persist::LogRegion::kHeaderBytes,
-                     sizeof(slot), slot);
+        g.image.read(sys.logPartition(r).slotAddr(0), sizeof(slot), slot);
         if (persist::classifySlot(slot).cls == persist::SlotClass::Valid)
             ++g.regionsWithRecords;
     }
@@ -470,17 +466,16 @@ TEST(RecoveryGolden, AnalysisSeesRemapTableAndSpareChanges)
     const Addr slot = firstValidSlot(g);
     const Addr line = slot & ~Addr{mem::RemapTable::kLineBytes - 1};
     auto remapLine = [&](mem::BackingStore &img, bool copyLine) {
-        mem::RemapTable table(g.map.remapBase(), g.map.remapSize,
-                              g.map.spareBase(), g.map.spareSize);
-        table.load(img);
-        std::optional<Addr> spare = table.add(line);
+        auto table = mem::RemapTable::forMap(g.map);
+        table->load(img);
+        std::optional<Addr> spare = table->add(line);
         EXPECT_TRUE(spare.has_value());
         if (copyLine) {
             std::uint8_t buf[mem::RemapTable::kLineBytes];
             img.read(line, sizeof(buf), buf);
             img.write(*spare, sizeof(buf), buf);
         }
-        table.persist([&img](Addr a, std::uint64_t n, const void *d) {
+        table->persist([&img](Addr a, std::uint64_t n, const void *d) {
             img.write(a, n, d);
         });
         return *spare;

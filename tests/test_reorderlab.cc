@@ -291,9 +291,7 @@ TEST(ApplyReorder, WritesAppliedEntriesAndTornPrefix)
 
 TEST(WcbDrop, DropAllEmitsOneProbePerEntry)
 {
-    MemDeviceConfig devCfg;
-    devCfg.sizeBytes = 1 << 20;
-    mem::MemDevice dev("nvram-test", devCfg, 0);
+    mem::MemDevice dev("nvram-test", {}, 0, 1 << 20);
     mem::WriteCombineBuffer wcb(dev, 4, 64);
 
     std::vector<Addr> dropped;
@@ -329,8 +327,7 @@ struct LogFixture
     LogFixture() : map(makeMap()), image(map.nvramBase, 1 << 22)
     {
         std::uint64_t magic = LogRegion::kMagic;
-        std::uint64_t slots = (map.logSize - LogRegion::kHeaderBytes) /
-                              LogRecord::kSlotBytes;
+        std::uint64_t slots = LogRegion::slotsIn(map.logSize);
         image.write(map.logBase(), 8, &magic);
         image.write(map.logBase() + 8, 8, &slots);
     }

@@ -247,8 +247,7 @@ class ShardImage
           nShards(shards)
     {
         shardBytes = map.logSize / shards;
-        slots = (shardBytes - LogRegion::kHeaderBytes) /
-                LogRecord::kSlotBytes;
+        slots = LogRegion::slotsIn(shardBytes);
         tails.assign(shards, 0);
         for (std::uint32_t s = 0; s < shards; ++s) {
             std::uint64_t magic = LogRegion::kMagic;

@@ -246,8 +246,7 @@ class ImageLog
     ImageLog(mem::BackingStore &image, const AddressMap &map)
         : image(image), map(map)
     {
-        slots = (map.logSize - LogRegion::kHeaderBytes) /
-                LogRecord::kSlotBytes;
+        slots = LogRegion::slotsIn(map.logSize);
         std::uint64_t magic = LogRegion::kMagic;
         image.write(map.logBase(), 8, &magic);
         image.write(map.logBase() + 8, 8, &slots);
@@ -592,8 +591,7 @@ class ShardedImageLog
         : image(image), map(map), shards(map.logRegionCount())
     {
         shardBytes = map.logSize / shards;
-        slots = (shardBytes - LogRegion::kHeaderBytes) /
-                LogRecord::kSlotBytes;
+        slots = LogRegion::slotsIn(shardBytes);
         tails.assign(shards, 0);
         passes.assign(shards, 1);
         for (std::uint32_t s = 0; s < shards; ++s) {

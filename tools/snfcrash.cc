@@ -133,7 +133,8 @@ main(int argc, char **argv)
                 "concurrency control for contended transactions",
                 "--cc wants 2pl, tl2, or none")
         .count("--jobs", &base.jobs,
-               "crash-point workers; 0 = one per hardware thread")
+               "crash-point workers; 0 = one per hardware thread",
+               CountRange::Jobs)
         .count("--max-points", &base.maxPoints,
                "sample N crash points per cell (0 = all)")
         .count("--sample-seed", &base.sampleSeed,

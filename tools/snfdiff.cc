@@ -78,7 +78,7 @@ main(int argc, char **argv)
 {
     std::size_t programs = 50;
     std::uint64_t baseSeed = 1;
-    unsigned jobs = std::max(1u, std::thread::hardware_concurrency());
+    unsigned jobs = std::thread::hardware_concurrency();
     std::optional<std::string> replayPath;
     std::optional<std::string> corpusDir;
     bool shrink = true;
@@ -89,7 +89,8 @@ main(int argc, char **argv)
     FlagTable flags("snfdiff");
     flags.count("--programs", &programs, "seeded programs to run (default 50)")
         .count("--seed", &baseSeed, "base seed; program i uses seed base+i")
-        .count("--jobs", &jobs, "worker threads (default: hardware)")
+        .count("--jobs", &jobs, "worker threads (default: hardware)",
+               CountRange::Jobs)
         .text("--replay", "FILE", &replayPath,
               "replay one .snfprog repro instead")
         .text("--corpus", "DIR", &corpusDir, "replay every *.snfprog in DIR")
@@ -123,7 +124,6 @@ main(int argc, char **argv)
         .option("--inject-lost-update", &cfg.injectLostUpdate,
                 "self-test: conflicting programs run without CC");
     flags.parse(argc, argv);
-    jobs = std::max(1u, jobs); // 0 keeps meaning one worker
 
     // --- Replay paths: one repro file, or a whole corpus ---------
     std::vector<std::pair<std::string, Program>> fixed;
@@ -200,7 +200,8 @@ main(int argc, char **argv)
         }
     };
     std::vector<std::thread> pool;
-    for (unsigned t = 1; t < jobs; ++t)
+    // 0 keeps meaning one worker; the caller's thread is one of them.
+    for (std::size_t t = 1; t < poolSize(jobs, work.size()); ++t)
         pool.emplace_back(worker);
     worker();
     for (auto &t : pool)

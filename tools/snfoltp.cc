@@ -104,7 +104,7 @@ main(int argc, char **argv)
                "minimum timed repeats per cell (default 1)",
                CountRange::Positive)
         .count("--jobs", &cfg.jobs, "cells run on N host threads (default 1)",
-               CountRange::Positive)
+               CountRange::Jobs)
         .text("--bench-json", "FILE", &benchJsonPath,
               "write the snf-bench-oltp-v1 report (\"-\" = stdout)");
     flags.parse(argc, argv);

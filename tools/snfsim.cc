@@ -161,7 +161,8 @@ main(int argc, char **argv)
         .count("--threads", &threads, "workload threads (default 2)",
                CountRange::Positive)
         .count("--tx", &spec.params.txPerThread,
-               "transactions per thread (default 1000)")
+               "transactions per thread (default 1000)",
+               CountRange::Positive)
         // Positive: every workload reads a footprint of 0 as "use
         // the built-in default", which would hide a typo.
         .count("--footprint", &spec.params.footprint,

@@ -52,7 +52,8 @@ main(int argc, char **argv)
         .choice("--mode", &cfg.run.mode, kAllModes, persistModeName,
                 "persistence mode (default fwb)", "unknown mode '%s'")
         .count("--jobs", &cfg.jobs,
-               "re-entrancy probe workers; 0 = one per hardware thread")
+               "re-entrancy probe workers; 0 = one per hardware thread",
+               CountRange::Jobs)
         .count("--log-shards", &logShards,
                "log shards, cross-shard commit (default 1)",
                CountRange::Shards)
