@@ -252,8 +252,13 @@ std::vector<persist::LogRegion::UndoEntry>
 System::collectUndo(std::uint64_t txSeq) const
 {
     std::vector<persist::LogRegion::UndoEntry> out;
-    for (const auto &region : logRegions) {
-        auto part = region->collectUndo(txSeq);
+    std::vector<std::uint64_t> slots;
+    for (std::uint32_t r = 0; r < logRegions.size(); ++r) {
+        slots.clear();
+        for (const auto &ref : txnTracker.logSlots(txSeq))
+            if (ref.region == r)
+                slots.push_back(ref.slot);
+        auto part = logRegions[r]->collectUndo(txSeq, slots);
         out.insert(out.end(), part.begin(), part.end());
     }
     // Per-core partitions keep a transaction's records in a single

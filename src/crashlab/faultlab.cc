@@ -13,12 +13,6 @@ namespace snf::crashlab
 namespace
 {
 
-double
-unit(std::uint64_t h)
-{
-    return static_cast<double>(h >> 11) * 0x1.0p-53;
-}
-
 // Distinct decision streams per slot (mixed into the hash seed).
 constexpr std::uint64_t kSaltDrop = 0x11;
 constexpr std::uint64_t kSaltTorn = 0x12;
@@ -58,6 +52,9 @@ applyImageFaults(mem::BackingStore &image, const AddressMap &map,
         return mem::FaultInjector::hash(cfg.seed ^ salt, slotAddr,
                                         crashTick);
     };
+    auto chance = [&](std::uint64_t salt, Addr slotAddr) {
+        return mem::FaultInjector::unit(draw(salt, slotAddr));
+    };
     // Slot reads and the damage writes go through the image's remap
     // table (walkLogImage): otherwise faults would land on the stale
     // pre-promotion copy and remapped lines would silently become
@@ -90,18 +87,18 @@ applyImageFaults(mem::BackingStore &image, const AddressMap &map,
             std::uint8_t img[persist::LogRecord::kSlotBytes];
             std::memcpy(img, s.bytes, sizeof(img));
             std::uint64_t touched = 0;
-            if (unit(draw(kSaltDrop, a)) < cfg.dropSlotProb) {
+            if (chance(kSaltDrop, a) < cfg.dropSlotProb) {
                 // The slot's write never reached the media.
                 std::memset(img, 0, sizeof(img));
                 plan.droppedSlots += 1;
                 touched = 1;
-            } else if (unit(draw(kSaltTorn, a)) < cfg.tornSlotProb) {
+            } else if (chance(kSaltTorn, a) < cfg.tornSlotProb) {
                 // Power cut mid-program: the payload half landed, the
                 // header word (written last) did not.
                 std::memset(img, 0, 8);
                 plan.tornSlots += 1;
                 touched = 1;
-            } else if (unit(draw(kSaltMulti, a)) < cfg.multiBitProb) {
+            } else if (chance(kSaltMulti, a) < cfg.multiBitProb) {
                 std::uint64_t b1 = draw(kSaltBitPos, a) % 256;
                 std::uint64_t b2 = draw(kSaltBitPos2, a) % 255;
                 if (b2 >= b1)
@@ -110,7 +107,7 @@ applyImageFaults(mem::BackingStore &image, const AddressMap &map,
                 img[b2 / 8] ^= static_cast<std::uint8_t>(1u << (b2 % 8));
                 plan.multiBitSlots += 1;
                 touched = 1;
-            } else if (unit(draw(kSaltFlip, a)) < cfg.bitFlipProb) {
+            } else if (chance(kSaltFlip, a) < cfg.bitFlipProb) {
                 std::uint64_t b = draw(kSaltBitPos, a) % 256;
                 img[b / 8] ^= static_cast<std::uint8_t>(1u << (b % 8));
                 plan.bitFlipSlots += 1;

@@ -1,7 +1,6 @@
 #include "mem/backing_store.hh"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 
 #include "sim/logging.hh"
@@ -98,7 +97,7 @@ BackingStore::JournalEntry::~JournalEntry()
     release();
 }
 
-// --- pages and the flat page table ------------------------------------
+// --- pages -----------------------------------------------------------
 
 BackingStore::PageRef
 BackingStore::PageRef::make(const Page *from)
@@ -111,55 +110,6 @@ BackingStore::PageRef::make(const Page *from)
         ref.p = new Page{};
     }
     return ref;
-}
-
-BackingStore::PageRef *
-BackingStore::PageMap::find(std::uint64_t idx)
-{
-    if (slots.empty())
-        return nullptr;
-    const std::size_t mask = slots.size() - 1;
-    for (std::size_t i = home(idx);; i = (i + 1) & mask) {
-        Slot &s = slots[i];
-        if (!s.page)
-            return nullptr;
-        if (s.idx == idx)
-            return &s.page;
-    }
-}
-
-void
-BackingStore::PageMap::insert(std::uint64_t idx, PageRef page)
-{
-    if (2 * (count + 1) > slots.size())
-        grow();
-    const std::size_t mask = slots.size() - 1;
-    std::size_t i = home(idx);
-    while (slots[i].page) {
-        SNF_ASSERT(slots[i].idx != idx, "page %llu inserted twice",
-                   static_cast<unsigned long long>(idx));
-        i = (i + 1) & mask;
-    }
-    slots[i].idx = idx;
-    slots[i].page = std::move(page);
-    ++count;
-}
-
-void
-BackingStore::PageMap::grow()
-{
-    std::vector<Slot> old = std::move(slots);
-    slots = std::vector<Slot>(old.empty() ? 16 : 2 * old.size());
-    shift = 64 - static_cast<unsigned>(std::countr_zero(slots.size()));
-    const std::size_t mask = slots.size() - 1;
-    for (Slot &s : old) {
-        if (!s.page)
-            continue;
-        std::size_t i = home(s.idx);
-        while (slots[i].page)
-            i = (i + 1) & mask;
-        slots[i] = std::move(s);
-    }
 }
 
 // --- construction / copying ------------------------------------------

@@ -30,6 +30,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/flat_map.hh"
 #include "sim/types.hh"
 
 namespace snf::mem
@@ -309,81 +310,10 @@ class BackingStore
     };
 
     /**
-     * Page index -> page, open addressing: power-of-two capacity,
-     * linear probing from a multiplicative hash, load factor at most
-     * 1/2. Pages are only ever added, so probing needs no tombstones.
-     * Copying is one slot-array copy plus a refcount increment per
-     * page; iteration order is unspecified.
+     * Page index -> page. Pages are only ever added. Copying is one
+     * slot-array copy plus a refcount increment per page.
      */
-    class PageMap
-    {
-      public:
-        PageMap() = default;
-        PageMap(const PageMap &) = default;
-        PageMap &operator=(const PageMap &) = default;
-
-        PageMap(PageMap &&other) noexcept
-            : slots(std::move(other.slots)),
-              count(std::exchange(other.count, 0)),
-              shift(std::exchange(other.shift, 64))
-        {
-        }
-
-        PageMap &
-        operator=(PageMap &&other) noexcept
-        {
-            slots = std::move(other.slots);
-            count = std::exchange(other.count, 0);
-            shift = std::exchange(other.shift, 64);
-            return *this;
-        }
-
-        /** The page stored under @p idx, or nullptr. */
-        PageRef *find(std::uint64_t idx);
-
-        const PageRef *
-        find(std::uint64_t idx) const
-        {
-            return const_cast<PageMap *>(this)->find(idx);
-        }
-
-        /** Add @p page under @p idx, which must be absent. */
-        void insert(std::uint64_t idx, PageRef page);
-
-        std::size_t size() const { return count; }
-
-        /** Call @p fn(idx, page) for every page. */
-        template <typename Fn>
-        void
-        forEach(Fn &&fn) const
-        {
-            for (const Slot &s : slots)
-                if (s.page)
-                    fn(s.idx, s.page);
-        }
-
-      private:
-        /** Empty while page is null. */
-        struct Slot
-        {
-            std::uint64_t idx = 0;
-            PageRef page;
-        };
-
-        std::size_t
-        home(std::uint64_t idx) const
-        {
-            return static_cast<std::size_t>(
-                (idx * 0x9e3779b97f4a7c15ULL) >> shift);
-        }
-
-        void grow();
-
-        std::vector<Slot> slots;
-        std::size_t count = 0;
-        /** 64 - log2(capacity). */
-        unsigned shift = 64;
-    };
+    using PageMap = sim::FlatMap<PageRef>;
 
     /**
      * One journaled write. Payloads of up to kInlineCapacity bytes

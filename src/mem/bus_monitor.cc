@@ -20,10 +20,10 @@ BusMonitor::onLogAppend(Addr dataLine, Tick tick)
 void
 BusMonitor::onLogDrain(Addr dataLine, Tick appendTick, Tick drainTick)
 {
-    auto it = pending.find(dataLine);
-    if (it == pending.end())
+    std::vector<PendingLog> *records = pending.find(dataLine);
+    if (!records)
         return;
-    for (auto &p : it->second) {
+    for (auto &p : *records) {
         if (p.append == appendTick && p.drain == kTickNever) {
             p.drain = drainTick;
             return;
@@ -34,8 +34,8 @@ BusMonitor::onLogDrain(Addr dataLine, Tick appendTick, Tick drainTick)
 Tick
 BusMonitor::lastWritebackOf(Addr dataLine) const
 {
-    auto it = lastWb.find(dataLine);
-    return it == lastWb.end() ? 0 : it->second;
+    const Tick *done = lastWb.find(dataLine);
+    return done ? *done : 0;
 }
 
 void
@@ -44,25 +44,26 @@ BusMonitor::onDataWriteback(Addr dataLine, Tick startTick, Tick doneTick)
     lastWb[dataLine] = doneTick;
     if (probe)
         probe(sim::ProbeEvent::DataWriteback, doneTick, dataLine);
-    auto it = pending.find(dataLine);
-    if (it == pending.end())
+    std::vector<PendingLog> *records = pending.find(dataLine);
+    if (!records)
         return;
     checkedWritebacks.inc();
-    auto &dq = it->second;
-    for (auto p = dq.begin(); p != dq.end();) {
+    std::size_t kept = 0;
+    for (const PendingLog &p : *records) {
         // Records appended before this write-back started must have
         // drained by the time the data reaches NVRAM.
-        if (p->append <= startTick &&
-            (p->drain == kTickNever || p->drain > doneTick)) {
+        if (p.append <= startTick &&
+            (p.drain == kTickNever || p.drain > doneTick)) {
             orderViol.inc();
         }
-        if (p->drain != kTickNever && p->drain <= doneTick)
-            p = dq.erase(p);
-        else
-            ++p;
+        // A record durable by then is retired; the rest stay, in
+        // append order.
+        if (p.drain == kTickNever || p.drain > doneTick)
+            (*records)[kept++] = p;
     }
-    if (dq.empty())
-        pending.erase(it);
+    records->resize(kept);
+    if (kept == 0)
+        pending.erase(dataLine);
 }
 
 void

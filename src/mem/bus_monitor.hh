@@ -10,9 +10,9 @@
 #ifndef SNF_MEM_BUS_MONITOR_HH
 #define SNF_MEM_BUS_MONITOR_HH
 
-#include <deque>
-#include <unordered_map>
+#include <vector>
 
+#include "sim/flat_map.hh"
 #include "sim/probe.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -74,8 +74,9 @@ class BusMonitor
     sim::Counter &orderViol;
     sim::Counter &overwrite;
     sim::Counter &checkedWritebacks;
-    std::unordered_map<Addr, std::deque<PendingLog>> pending;
-    std::unordered_map<Addr, Tick> lastWb;
+    /** Per data line, its records not yet retired, append order. */
+    sim::FlatMap<std::vector<PendingLog>> pending;
+    sim::FlatMap<Tick> lastWb;
     sim::ProbeFn probe;
 };
 

@@ -20,6 +20,7 @@ Cache::Cache(std::string name, const CacheConfig &config)
     for (auto &l : lines)
         l.data.assign(cfg.lineBytes, 0);
     tags.assign(cfg.numLines(), kInvalidTag);
+    dirtyBits.assign((cfg.numLines() + 63) / 64, 0);
 }
 
 std::uint32_t
@@ -53,9 +54,7 @@ Cache::install(CacheLine *slot, Addr lineAddr)
     SNF_ASSERT(lineOf(lineAddr) == lineAddr, "unaligned line address");
     slot->lineAddr = lineAddr;
     slot->valid = true;
-    slot->dirty = false;
-    slot->fwb = false;
-    tags[static_cast<std::size_t>(slot - lines.data())] = lineAddr;
+    tags[slotOf(slot)] = lineAddr;
     touch(slot);
 }
 
@@ -69,9 +68,8 @@ void
 Cache::invalidate(CacheLine *line)
 {
     line->valid = false;
-    line->dirty = false;
-    line->fwb = false;
-    tags[static_cast<std::size_t>(line - lines.data())] = kInvalidTag;
+    markClean(line);
+    tags[slotOf(line)] = kInvalidTag;
 }
 
 void

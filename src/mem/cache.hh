@@ -11,33 +11,51 @@
  * per way, no per-way valid-bit branch (invalid ways hold a sentinel
  * that can never equal a line-aligned address). The tag array is kept
  * consistent by install()/invalidate(), the only mutators of line
- * identity.
+ * identity. A parallel bitmap holds one bit per slot that is set
+ * exactly while the slot is valid and dirty, so walks over the dirty
+ * lines (the FWB scan, the final flush) cost what is dirty, not the
+ * size of the array.
  */
 
 #ifndef SNF_MEM_CACHE_HH
 #define SNF_MEM_CACHE_HH
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "core/system_config.hh"
+#include "sim/logging.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
 namespace snf::mem
 {
 
-/** One cache line: tag state plus a byte-accurate data image. */
+/**
+ * One cache line: tag state plus a byte-accurate data image. Only the
+ * owning Cache writes the dirty and fwb bits (markDirty, flagFwb,
+ * markClean), which keeps fwb => dirty and the cache's dirty-line
+ * bitmap exact.
+ */
 struct CacheLine
 {
     Addr lineAddr = 0;
     bool valid = false;
-    bool dirty = false;
-    /** Force-write-back flag bit (paper Section IV-D). */
-    bool fwb = false;
     std::uint64_t lastUse = 0;
     std::vector<std::uint8_t> data;
+
+    bool dirty() const { return dirtyBit; }
+
+    /** Force-write-back flag bit (paper Section IV-D). */
+    bool fwb() const { return fwbBit; }
+
+  private:
+    friend class Cache;
+
+    bool dirtyBit = false;
+    bool fwbBit = false;
 };
 
 /**
@@ -94,14 +112,53 @@ class Cache
     /** Invalidate every line (crash model). */
     void invalidateAll();
 
-    /** Apply @p fn to every line slot (valid or not). Statically
-     *  dispatched so per-line scans pay no std::function call. */
+    /** Mark a valid @p line dirty. */
+    void
+    markDirty(CacheLine *line)
+    {
+        line->dirtyBit = true;
+        const std::size_t i = slotOf(line);
+        dirtyBits[i / 64] |= std::uint64_t{1} << (i % 64);
+    }
+
+    /** Mark @p line clean; its fwb flag drops with it. */
+    void
+    markClean(CacheLine *line)
+    {
+        line->dirtyBit = false;
+        line->fwbBit = false;
+        const std::size_t i = slotOf(line);
+        dirtyBits[i / 64] &= ~(std::uint64_t{1} << (i % 64));
+    }
+
+    /** Set the fwb flag of a dirty @p line (the FWB FLAG state). */
+    void
+    flagFwb(CacheLine *line)
+    {
+        SNF_ASSERT(line->dirtyBit, "fwb flag on a clean line in %s",
+                   cacheName.c_str());
+        line->fwbBit = true;
+    }
+
+    /**
+     * Apply @p fn to every valid dirty line, in slot order. The
+     * bitmap is re-read after each call, so the walk sees what a
+     * full slot-order walk would: a line @p fn cleans or dirties
+     * further on is skipped or visited. Statically dispatched so the
+     * scan pays no std::function call.
+     */
     template <typename Fn>
     void
-    forEachLine(Fn &&fn)
+    forEachDirtyLine(Fn &&fn)
     {
-        for (auto &l : lines)
-            fn(l);
+        for (std::size_t w = 0; w < dirtyBits.size(); ++w) {
+            for (std::uint64_t bits = dirtyBits[w]; bits != 0;) {
+                const unsigned b =
+                    static_cast<unsigned>(std::countr_zero(bits));
+                fn(lines[w * 64 + b]);
+                bits = dirtyBits[w] & ((~std::uint64_t{1}) << b);
+            }
+        }
     }
 
     std::uint32_t lineBytes() const { return cfg.lineBytes; }
@@ -161,9 +218,17 @@ class Cache
   private:
     std::uint32_t setIndex(Addr lineAddr) const;
 
+    std::size_t
+    slotOf(const CacheLine *line) const
+    {
+        return static_cast<std::size_t>(line - lines.data());
+    }
+
     std::vector<CacheLine> lines;
     /** Parallel to `lines`: lineAddr when valid, kInvalidTag when not. */
     std::vector<Addr> tags;
+    /** Bit i set = lines[i] is valid and dirty. */
+    std::vector<std::uint64_t> dirtyBits;
     std::uint64_t useClock = 0;
 };
 

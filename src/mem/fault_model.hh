@@ -92,13 +92,14 @@ class FaultInjector
     static std::uint64_t hash(std::uint64_t a, std::uint64_t b,
                               std::uint64_t c);
 
+    /** Map a hash to [0,1) for probability thresholds. */
+    static double unit(std::uint64_t h);
+
   private:
     FaultModelConfig cfg;
     std::uint32_t rowBytes;
 
     bool inScope(Addr lineAddr) const;
-    /** Map a hash to [0,1) for probability thresholds. */
-    static double unit(std::uint64_t h);
 };
 
 } // namespace snf::mem

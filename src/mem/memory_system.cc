@@ -57,12 +57,12 @@ MemorySystem::sharersOf(Addr lineAddr)
 void
 MemorySystem::clearSharer(Addr lineAddr, CoreId core)
 {
-    auto it = directory.find(lineAddr);
-    if (it == directory.end())
+    std::uint64_t *sharers = directory.find(lineAddr);
+    if (!sharers)
         return;
-    it->second &= ~(1ULL << core);
-    if (it->second == 0)
-        directory.erase(it);
+    *sharers &= ~(1ULL << core);
+    if (*sharers == 0)
+        directory.erase(lineAddr);
 }
 
 void
@@ -70,26 +70,25 @@ MemorySystem::evictL2Line(CacheLine *slot, Tick now)
 {
     Addr line = slot->lineAddr;
     // Inclusive hierarchy: recall every L1 copy first.
-    auto it = directory.find(line);
-    if (it != directory.end()) {
-        std::uint64_t mask = it->second;
+    if (const std::uint64_t *sharers = directory.find(line)) {
+        const std::uint64_t mask = *sharers;
         for (CoreId c = 0; c < cfg.numCores; ++c) {
             if (!(mask & (1ULL << c)))
                 continue;
             CacheLine *l1line = l1s[c]->find(line);
             if (l1line) {
-                if (l1line->dirty) {
+                if (l1line->dirty()) {
                     slot->data = l1line->data;
-                    slot->dirty = true;
+                    l2.markDirty(slot);
                 }
                 l1s[c]->invalidate(l1line);
                 coherenceInvalidations.inc();
             }
         }
-        directory.erase(it);
+        directory.erase(line);
     }
     l2.evictions.inc();
-    if (slot->dirty) {
+    if (slot->dirty()) {
         MemDevice &dev = deviceFor(line);
         Tick preBarrier = now;
         now = barrierFor(line, now);
@@ -132,7 +131,7 @@ MemorySystem::writebackL1ToL2(CoreId core, CacheLine *line)
                "inclusivity violated: L1.%u line %llx missing in L2",
                core, static_cast<unsigned long long>(line->lineAddr));
     l2line->data = line->data;
-    l2line->dirty = true;
+    l2.markDirty(l2line);
     l2.touch(l2line);
     l1s[core]->writebacks.inc();
 }
@@ -140,7 +139,7 @@ MemorySystem::writebackL1ToL2(CoreId core, CacheLine *line)
 void
 MemorySystem::evictL1Line(CoreId core, CacheLine *victim)
 {
-    if (victim->dirty)
+    if (victim->dirty())
         writebackL1ToL2(core, victim);
     clearSharer(victim->lineAddr, core);
     l1s[core]->evictions.inc();
@@ -160,16 +159,15 @@ MemorySystem::ensureInL1(CoreId core, Addr lineAddr, Tick now,
         Tick done = start + l1.latency();
         if (for_store) {
             // Invalidate other (clean) sharers for exclusivity.
-            auto it = directory.find(lineAddr);
-            if (it != directory.end() &&
-                (it->second & ~(1ULL << core)) != 0) {
-                std::uint64_t mask = it->second & ~(1ULL << core);
+            std::uint64_t *sharers = directory.find(lineAddr);
+            if (sharers && (*sharers & ~(1ULL << core)) != 0) {
+                std::uint64_t mask = *sharers & ~(1ULL << core);
                 for (CoreId c = 0; c < cfg.numCores; ++c) {
                     if (!(mask & (1ULL << c)))
                         continue;
                     CacheLine *other = l1s[c]->find(lineAddr);
                     if (other) {
-                        SNF_ASSERT(!other->dirty,
+                        SNF_ASSERT(!other->dirty(),
                                    "two dirty copies of line %llx",
                                    static_cast<unsigned long long>(
                                        lineAddr));
@@ -177,7 +175,7 @@ MemorySystem::ensureInL1(CoreId core, Addr lineAddr, Tick now,
                     }
                     coherenceInvalidations.inc();
                 }
-                it->second = 1ULL << core;
+                *sharers = 1ULL << core;
                 done += l1.latency();
             }
         }
@@ -192,20 +190,18 @@ MemorySystem::ensureInL1(CoreId core, Addr lineAddr, Tick now,
 
     // If another L1 holds a dirty copy, pull it into L2 first
     // (cache-to-cache transfer).
-    auto it = directory.find(lineAddr);
-    if (it != directory.end()) {
-        std::uint64_t mask = it->second;
+    if (std::uint64_t *sharers = directory.find(lineAddr)) {
+        std::uint64_t mask = *sharers;
         for (CoreId c = 0; c < cfg.numCores; ++c) {
             if (!(mask & (1ULL << c)) || c == core)
                 continue;
             CacheLine *other = l1s[c]->find(lineAddr);
             if (!other)
                 continue;
-            if (other->dirty) {
+            if (other->dirty()) {
                 l2res.line->data = other->data;
-                l2res.line->dirty = true;
-                other->dirty = false;
-                other->fwb = false;
+                l2.markDirty(l2res.line);
+                l1s[c]->markClean(other);
                 cacheToCacheTransfers.inc();
                 done += l1.latency();
             }
@@ -215,7 +211,7 @@ MemorySystem::ensureInL1(CoreId core, Addr lineAddr, Tick now,
             }
         }
         if (for_store)
-            it->second = 0;
+            *sharers = 0;
     }
 
     CacheLine *victim = l1.victimFor(lineAddr);
@@ -258,7 +254,7 @@ MemorySystem::store(CoreId core, Addr addr, std::uint32_t size,
     std::memcpy(&new_val, in, size);
 
     std::memcpy(p, in, size);
-    r.line->dirty = true;
+    l1s[core]->markDirty(r.line);
     l1s[core]->touch(r.line);
 
     Tick done = r.done;
@@ -290,17 +286,15 @@ MemorySystem::clwb(CoreId core, Addr addr, Tick now)
     Tick t = std::max(now, l1s[core]->busyUntil);
 
     // Step 1: any dirty L1 copy is written through to L2.
-    auto it = directory.find(line);
-    if (it != directory.end()) {
-        std::uint64_t mask = it->second;
+    if (const std::uint64_t *sharers = directory.find(line)) {
+        const std::uint64_t mask = *sharers;
         for (CoreId c = 0; c < cfg.numCores; ++c) {
             if (!(mask & (1ULL << c)))
                 continue;
             CacheLine *l1line = l1s[c]->find(line);
-            if (l1line && l1line->dirty) {
+            if (l1line && l1line->dirty()) {
                 writebackL1ToL2(c, l1line);
-                l1line->dirty = false;
-                l1line->fwb = false;
+                l1s[c]->markClean(l1line);
                 t += l1s[c]->latency();
             }
         }
@@ -308,7 +302,7 @@ MemorySystem::clwb(CoreId core, Addr addr, Tick now)
 
     // Step 2: a dirty L2 copy is written back to its device.
     CacheLine *l2line = l2.find(line);
-    if (l2line && l2line->dirty) {
+    if (l2line && l2line->dirty()) {
         Tick start = std::max(t, l2.busyUntil) + l2.latency();
         Tick preBarrier = start;
         start = barrierFor(line, start);
@@ -317,8 +311,7 @@ MemorySystem::clwb(CoreId core, Addr addr, Tick now)
                               l2line->data.data(), nullptr, start,
                               false, PersistOrigin::Data,
                               wbIssueHint(preBarrier));
-        l2line->dirty = false;
-        l2line->fwb = false;
+        l2.markClean(l2line);
         l2.writebacks.inc();
         if (cfg.map.isNvram(line))
             busMonitor.onDataWriteback(line, start, res.done);
@@ -341,30 +334,22 @@ MemorySystem::fwbScanAll(Tick now, double costPerLine)
         1;
     Tick wb_issue = now;
 
+    // fwb => dirty, so a clean or invalid line is IDLE and the walk
+    // visits only dirty lines, in the slot order of a full tag walk.
     auto scan_cache = [&](Cache &cache, bool is_l1, CoreId core) {
-        std::uint64_t scanned = 0;
-        cache.forEachLine([&](CacheLine &line) {
-            ++scanned;
-            if (!line.valid || !cfg.map.isNvram(line.lineAddr)) {
-                line.fwb = false;
+        cache.forEachDirtyLine([&](CacheLine &line) {
+            if (!cfg.map.isNvram(line.lineAddr))
                 return;
-            }
-            if (!line.dirty) {
-                // Eviction or write-back already cleaned it: IDLE.
-                line.fwb = false;
-                return;
-            }
-            if (!line.fwb) {
+            if (!line.fwb()) {
                 // FLAG state: mark for write-back on the next pass.
-                line.fwb = true;
+                cache.flagFwb(&line);
                 ++out.linesFlagged;
                 return;
             }
             // {fwb,dirty} == {1,1}: force the write-back.
             if (is_l1) {
                 writebackL1ToL2(core, &line);
-                line.dirty = false;
-                line.fwb = false;
+                cache.markClean(&line);
             } else {
                 MemDevice &dev = deviceFor(line.lineAddr);
                 wb_issue += wb_spacing;
@@ -375,8 +360,7 @@ MemorySystem::fwbScanAll(Tick now, double costPerLine)
                                line.data.data(), nullptr, start,
                                false, PersistOrigin::Data,
                                wbIssueHint(wb_issue));
-                line.dirty = false;
-                line.fwb = false;
+                cache.markClean(&line);
                 cache.writebacks.inc();
                 busMonitor.onDataWriteback(line.lineAddr, start,
                                            res.done);
@@ -385,9 +369,9 @@ MemorySystem::fwbScanAll(Tick now, double costPerLine)
             }
             ++out.linesWrittenBack;
         });
-        out.linesScanned += scanned;
-        Tick busy = static_cast<Tick>(static_cast<double>(scanned) *
-                                      costPerLine);
+        // The hardware walks the whole tag array: every line costs.
+        Tick busy = static_cast<Tick>(
+            static_cast<double>(cache.numLines()) * costPerLine);
         cache.busyUntil = std::max(cache.busyUntil, now) + busy;
     };
 
@@ -402,30 +386,22 @@ MemorySystem::flushAllDirty(Tick now)
 {
     Tick done = now;
     for (CoreId c = 0; c < cfg.numCores; ++c) {
-        l1s[c]->forEachLine([&](CacheLine &line) {
-            if (line.valid && line.dirty) {
-                writebackL1ToL2(c, &line);
-                line.dirty = false;
-                line.fwb = false;
-            }
+        l1s[c]->forEachDirtyLine([&](CacheLine &line) {
+            writebackL1ToL2(c, &line);
+            l1s[c]->markClean(&line);
         });
     }
-    l2.forEachLine([&](CacheLine &line) {
-        if (line.valid && line.dirty) {
-            MemDevice &dev = deviceFor(line.lineAddr);
-            Tick start = barrierFor(line.lineAddr, now);
-            auto res = dev.access(true, line.lineAddr, l2.lineBytes(),
-                                  line.data.data(), nullptr, start,
-                                  false, PersistOrigin::Data,
-                                  wbIssueHint(now));
-            line.dirty = false;
-            line.fwb = false;
-            l2.writebacks.inc();
-            if (cfg.map.isNvram(line.lineAddr))
-                busMonitor.onDataWriteback(line.lineAddr, now,
-                                           res.done);
-            done = std::max(done, res.done);
-        }
+    l2.forEachDirtyLine([&](CacheLine &line) {
+        MemDevice &dev = deviceFor(line.lineAddr);
+        Tick start = barrierFor(line.lineAddr, now);
+        auto res = dev.access(true, line.lineAddr, l2.lineBytes(),
+                              line.data.data(), nullptr, start, false,
+                              PersistOrigin::Data, wbIssueHint(now));
+        l2.markClean(&line);
+        l2.writebacks.inc();
+        if (cfg.map.isNvram(line.lineAddr))
+            busMonitor.onDataWriteback(line.lineAddr, now, res.done);
+        done = std::max(done, res.done);
     });
     done = std::max(done, wcbuf.drainAll(now));
     return done;
@@ -455,11 +431,11 @@ MemorySystem::isLineDirtyAnywhere(Addr addr) const
     Addr line = addr & ~static_cast<Addr>(cfg.l1.lineBytes - 1);
     for (const auto &l1 : l1s) {
         const CacheLine *l = l1->find(line);
-        if (l && l->dirty)
+        if (l && l->dirty())
             return true;
     }
     const CacheLine *l = l2.find(line);
-    return l && l->dirty;
+    return l && l->dirty();
 }
 
 } // namespace snf::mem

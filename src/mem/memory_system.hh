@@ -15,7 +15,6 @@
 
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "core/system_config.hh"
@@ -23,6 +22,7 @@
 #include "mem/cache.hh"
 #include "mem/mem_device.hh"
 #include "mem/write_combine_buffer.hh"
+#include "sim/flat_map.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -68,7 +68,6 @@ struct AccessResult
 /** Aggregate outcome of one FWB scan pass. */
 struct FwbScanResult
 {
-    std::uint64_t linesScanned = 0;
     std::uint64_t linesFlagged = 0;
     std::uint64_t linesWrittenBack = 0;
     Tick lastWritebackDone = 0;
@@ -132,9 +131,10 @@ class MemorySystem
     /**
      * One FWB scan pass over every cache level: FLAG newly-dirty
      * lines, force-write-back lines flagged on the previous pass
-     * (paper Figure 5). Only NVRAM-backed lines participate.
-     * Charges @p costPerLine cycles of port busy time per scanned
-     * line to each cache.
+     * (paper Figure 5). Only NVRAM-backed lines participate. The
+     * host visits only dirty lines, but each cache is charged the
+     * hardware's full tag walk: @p costPerLine cycles of port busy
+     * time per line of the array.
      */
     FwbScanResult fwbScanAll(Tick now, double costPerLine);
 
@@ -231,7 +231,7 @@ class MemorySystem
     WriteCombineBuffer wcbuf;
     BusMonitor busMonitor;
     /** lineAddr -> bitmask of L1 caches holding the line. */
-    std::unordered_map<Addr, std::uint64_t> directory;
+    sim::FlatMap<std::uint64_t> directory;
     PersistentStoreHook *hook = nullptr;
     DataWbBarrier dataWbBarrier;
 

@@ -62,7 +62,7 @@ HwlEngine::onPersistentStore(CoreId core, std::uint64_t txSeq, Addr addr,
     LogBuffer &buf = *buffers[idx];
     Tick proceed = buf.append(rec, now);
     regions[idx]->bindSlotTx(buf.lastSlot(), txSeq);
-    txns.noteLogRecord(txSeq);
+    txns.noteLogRecord(txSeq, idx, buf.lastSlot());
     if (shards > 1)
         txns.noteShardRecord(txSeq, idx);
     updateRecords.inc();

@@ -44,13 +44,20 @@ LogRegion::slotAddr(std::uint64_t slot) const
 }
 
 void
-LogRegion::persistHeader(Tick now)
+LogRegion::headerImage(std::uint8_t (&hdr)[kHeaderBytes]) const
 {
-    std::uint8_t hdr[kHeaderBytes] = {};
+    std::memset(hdr, 0, kHeaderBytes);
     std::memcpy(hdr, &kMagic, 8);
     std::memcpy(hdr + 8, &slots, 8);
     std::memcpy(hdr + 16, &pass, 8);
     std::memcpy(hdr + 24, &tail, 8);
+}
+
+void
+LogRegion::persistHeader(Tick now)
+{
+    std::uint8_t hdr[kHeaderBytes];
+    headerImage(hdr);
     nvram.access(true, regionBase, kHeaderBytes, hdr, nullptr, now,
                  true, PersistOrigin::Meta);
 }
@@ -66,11 +73,8 @@ LogRegion::create()
     // persistent heap is initialized, not by the workload), so the
     // header is installed functionally: durable at tick 0, before
     // any crash instant the crash tooling can pick.
-    std::uint8_t hdr[kHeaderBytes] = {};
-    std::memcpy(hdr, &kMagic, 8);
-    std::memcpy(hdr + 8, &slots, 8);
-    std::memcpy(hdr + 16, &pass, 8);
-    std::memcpy(hdr + 24, &tail, 8);
+    std::uint8_t hdr[kHeaderBytes];
+    headerImage(hdr);
     nvram.functionalWrite(regionBase, kHeaderBytes, hdr);
 }
 
@@ -189,10 +193,11 @@ LogRegion::bindSlotTx(std::uint64_t slot, std::uint64_t txSeq)
 }
 
 std::vector<LogRegion::UndoEntry>
-LogRegion::collectUndo(std::uint64_t txSeq) const
+LogRegion::collectUndo(std::uint64_t txSeq,
+                       const std::vector<std::uint64_t> &txSlots) const
 {
     std::vector<UndoEntry> out;
-    for (std::uint64_t s = 0; s < slots; ++s) {
+    for (std::uint64_t s : txSlots) {
         const SlotMeta &m = meta[s];
         if (!m.valid || m.isCommit || m.txSeq != txSeq)
             continue;
@@ -204,10 +209,17 @@ LogRegion::collectUndo(std::uint64_t txSeq) const
         out.push_back(UndoEntry{m.seqNo, si.rec.addr, si.rec.size,
                                 si.rec.undo});
     }
+    // A transaction that wrapped over its own records noted a slot
+    // twice; both notes read its one current record.
     std::sort(out.begin(), out.end(),
               [](const UndoEntry &a, const UndoEntry &b) {
                   return a.seqNo > b.seqNo;
               });
+    out.erase(std::unique(out.begin(), out.end(),
+                          [](const UndoEntry &a, const UndoEntry &b) {
+                              return a.seqNo == b.seqNo;
+                          }),
+              out.end());
     return out;
 }
 

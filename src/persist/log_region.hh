@@ -197,12 +197,18 @@ class LogRegion
     };
 
     /**
-     * Collect the undo values of every drained, still-bound record of
-     * @p txSeq, newest first (the order tx_abort must apply them in).
-     * Reads the slots functionally; records still in a volatile log
-     * buffer are invisible, so the caller must drain buffers first.
+     * Collect the undo values of the drained records of @p txSeq in
+     * @p txSlots (the slots its update records were appended to, see
+     * TxnTracker::logSlots), newest first (the order tx_abort must
+     * apply them in). A slot since reclaimed or rebound to another
+     * record drops out, so the result equals a scan of every slot
+     * still bound to @p txSeq. Reads the slots functionally; records
+     * still in a volatile log buffer are invisible, so the caller
+     * must drain buffers first.
      */
-    std::vector<UndoEntry> collectUndo(std::uint64_t txSeq) const;
+    std::vector<UndoEntry>
+    collectUndo(std::uint64_t txSeq,
+                const std::vector<std::uint64_t> &txSlots) const;
 
     sim::StatGroup &stats() { return statGroup; }
 
@@ -233,6 +239,9 @@ class LogRegion
         std::uint64_t txSeq = 0;
         std::uint64_t seqNo = 0; ///< global append order
     };
+
+    /** The 64-byte persisted header: magic, slots, pass, tail. */
+    void headerImage(std::uint8_t (&hdr)[kHeaderBytes]) const;
 
     void persistHeader(Tick now);
 

@@ -32,7 +32,7 @@ SwLogging::SwLogging(PersistMode m, mem::MemorySystem &memory,
                regions.size(), shards);
 }
 
-void
+std::uint64_t
 SwLogging::writeRecordViaWcb(LogRegion &region, const LogRecord &rec,
                              std::uint64_t txSeq, Result &res, Tick now)
 {
@@ -53,6 +53,7 @@ SwLogging::writeRecordViaWcb(LogRegion &region, const LogRecord &rec,
         res.logStores += 1;
     }
     res.done = t;
+    return reservation.slot;
 }
 
 namespace
@@ -91,8 +92,9 @@ SwLogging::logStore(CoreId core, std::uint64_t txSeq, Addr addr,
         wantsRedo() ? std::optional<std::uint64_t>(newVal)
                     : std::nullopt);
     std::uint32_t idx = shardOf(addr);
-    writeRecordViaWcb(*regions[idx], rec, txSeq, res, now);
-    txns.noteLogRecord(txSeq);
+    std::uint64_t slot =
+        writeRecordViaWcb(*regions[idx], rec, txSeq, res, now);
+    txns.noteLogRecord(txSeq, idx, slot);
     if (shards > 1)
         txns.noteShardRecord(txSeq, idx);
     updateRecords.inc();

@@ -95,10 +95,12 @@ class SwLogging
     /**
      * Write a serialized record into its reserved log slot of
      * @p region as a sequence of <= 8-byte uncacheable stores
-     * through the WCB.
+     * through the WCB. Returns the slot.
      */
-    void writeRecordViaWcb(LogRegion &region, const LogRecord &rec,
-                           std::uint64_t txSeq, Result &res, Tick now);
+    std::uint64_t writeRecordViaWcb(LogRegion &region,
+                                    const LogRecord &rec,
+                                    std::uint64_t txSeq, Result &res,
+                                    Tick now);
 
     PersistMode mode;
     mem::MemorySystem &mem;

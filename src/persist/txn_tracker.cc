@@ -58,11 +58,21 @@ TxnTracker::abort(std::uint64_t seq)
 }
 
 void
-TxnTracker::noteLogRecord(std::uint64_t seq)
+TxnTracker::noteLogRecord(std::uint64_t seq, std::uint32_t region,
+                          std::uint64_t slot)
 {
     auto it = active.find(seq);
-    if (it != active.end())
-        ++it->second.logRecords;
+    if (it == active.end())
+        return;
+    ++it->second.logRecords;
+    it->second.logSlots.push_back(LogSlotRef{region, slot});
+}
+
+const std::vector<TxnTracker::LogSlotRef> &
+TxnTracker::logSlots(std::uint64_t seq) const
+{
+    auto it = active.find(seq);
+    return it == active.end() ? noSlots : it->second.logSlots;
 }
 
 std::uint32_t
@@ -169,11 +179,11 @@ TxnTracker::acquireLine(std::uint64_t seq, Addr line, bool forWrite)
     if (txn.abortRequested)
         return CcDecision::Abort; // doomed already; don't queue up
 
-    auto own = lockOwner.find(line);
-    if (own != lockOwner.end() && own->second != seq) {
+    const std::uint64_t *own = lockOwner.find(line);
+    if (own && *own != seq) {
         // Held by someone else. Park on the waits-for edge unless
         // that would close a cycle.
-        waitsFor[seq] = own->second;
+        waitsFor[seq] = *own;
         if (wouldDeadlock(seq)) {
             waitsFor.erase(seq);
             deadlockAborts.inc();
@@ -185,8 +195,8 @@ TxnTracker::acquireLine(std::uint64_t seq, Addr line, bool forWrite)
     waitsFor.erase(seq);
 
     if (forWrite || ccModeV == CcMode::TwoPhase) {
-        if (own == lockOwner.end()) {
-            lockOwner.emplace(line, seq);
+        if (!own) {
+            lockOwner.insert(line, seq);
             txn.locksHeld.push_back(line);
             lockAcquires.inc();
         }
@@ -205,12 +215,12 @@ TxnTracker::wouldDeadlock(std::uint64_t seq) const
     // Each transaction has at most one outgoing waits-for edge, so
     // the reachable set is a chain; a cycle through the new edge must
     // lead back to the requester.
-    auto it = waitsFor.find(seq);
+    const std::uint64_t *holder = waitsFor.find(seq);
     std::size_t hops = 0;
-    while (it != waitsFor.end() && hops++ <= active.size()) {
-        if (it->second == seq)
+    while (holder && hops++ <= active.size()) {
+        if (*holder == seq)
             return true;
-        it = waitsFor.find(it->second);
+        holder = waitsFor.find(*holder);
     }
     return false;
 }
@@ -222,8 +232,8 @@ TxnTracker::validateReads(std::uint64_t seq)
     if (it == active.end())
         return true;
     for (const auto &[line, version] : it->second.readSet) {
-        auto own = lockOwner.find(line);
-        if (own != lockOwner.end() && own->second != seq) {
+        const std::uint64_t *own = lockOwner.find(line);
+        if (own && *own != seq) {
             validationFailures.inc();
             return false;
         }
@@ -245,15 +255,15 @@ TxnTracker::readSetSize(std::uint64_t seq) const
 std::uint64_t
 TxnTracker::lineVersion(Addr line) const
 {
-    auto it = lineVersions.find(line);
-    return it == lineVersions.end() ? 0 : it->second;
+    const std::uint64_t *version = lineVersions.find(line);
+    return version ? *version : 0;
 }
 
 std::uint64_t
 TxnTracker::lockOwnerOf(Addr line) const
 {
-    auto it = lockOwner.find(line);
-    return it == lockOwner.end() ? 0 : it->second;
+    const std::uint64_t *owner = lockOwner.find(line);
+    return owner ? *owner : 0;
 }
 
 void
@@ -267,9 +277,9 @@ TxnTracker::releaseCc(const Txn &txn, std::uint64_t seq,
             lineVersions[line] = ++versionClock;
     }
     for (Addr line : txn.locksHeld) {
-        auto it = lockOwner.find(line);
-        if (it != lockOwner.end() && it->second == seq)
-            lockOwner.erase(it);
+        const std::uint64_t *owner = lockOwner.find(line);
+        if (owner && *owner == seq)
+            lockOwner.erase(line);
     }
     waitsFor.erase(seq);
 }

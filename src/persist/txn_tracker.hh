@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/system_config.hh"
+#include "sim/flat_map.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -61,12 +62,29 @@ class TxnTracker
     /** Distinct lines written by the transaction, append order. */
     const std::vector<Addr> &writeSet(std::uint64_t seq) const;
 
+    /** Where one update record of a transaction went in the log. */
+    struct LogSlotRef
+    {
+        std::uint32_t region; ///< log region (partition or shard)
+        std::uint64_t slot;
+    };
+
     /**
-     * Count one appended update log record for the transaction; the
-     * total goes into the commit record so the salvaging recovery
-     * scanner can tell reclaimed records from damaged ones.
+     * Count one appended update log record for the transaction, held
+     * in @p slot of log region @p region; the total goes into the
+     * commit record so the salvaging recovery scanner can tell
+     * reclaimed records from damaged ones, and tx_abort reads its
+     * undo values back from the noted slots.
      */
-    void noteLogRecord(std::uint64_t seq);
+    void noteLogRecord(std::uint64_t seq, std::uint32_t region,
+                       std::uint64_t slot);
+
+    /**
+     * Slots of the transaction's update records, append order. A
+     * slot may since have been reclaimed (and rebound), so readers
+     * re-check it against the log. Freed at commit or abort.
+     */
+    const std::vector<LogSlotRef> &logSlots(std::uint64_t seq) const;
 
     /** Update log records appended by the transaction so far. */
     std::uint32_t logRecordCount(std::uint64_t seq) const;
@@ -154,6 +172,7 @@ class TxnTracker
         std::vector<Addr> writeLines;
         std::unordered_set<Addr> seen;
         std::uint32_t logRecords = 0;
+        std::vector<LogSlotRef> logSlots;
         /** Bit s set = the tx appended update records in shard s. */
         std::uint64_t shardMask = 0;
         /** Update-record count per shard (indexed by shard). */
@@ -176,15 +195,16 @@ class TxnTracker
     std::uint64_t nextSeq = 1;
     std::unordered_map<std::uint64_t, Txn> active;
     std::vector<Addr> emptySet;
+    std::vector<LogSlotRef> noSlots;
     std::uint32_t abortRetryCap = 0;
     std::unordered_map<CoreId, std::uint32_t> victimStreaks;
     CcMode ccModeV = CcMode::None;
     /** Line -> holding transaction sequence. */
-    std::unordered_map<Addr, std::uint64_t> lockOwner;
+    sim::FlatMap<std::uint64_t> lockOwner;
     /** Waiter seq -> holder seq (at most one outgoing edge each). */
-    std::unordered_map<std::uint64_t, std::uint64_t> waitsFor;
+    sim::FlatMap<std::uint64_t> waitsFor;
     /** Line -> commit version (absent = never committed-to). */
-    std::unordered_map<Addr, std::uint64_t> lineVersions;
+    sim::FlatMap<std::uint64_t> lineVersions;
     std::uint64_t versionClock = 0;
     sim::StatGroup statGroup; // must precede the counter references
 

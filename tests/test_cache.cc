@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "mem/cache.hh"
 
 using namespace snf;
@@ -58,8 +61,8 @@ TEST(Cache, InstallStartsCleanAndValid)
     installLine(c, 0x40);
     CacheLine *l = c.find(0x40);
     EXPECT_TRUE(l->valid);
-    EXPECT_FALSE(l->dirty);
-    EXPECT_FALSE(l->fwb);
+    EXPECT_FALSE(l->dirty());
+    EXPECT_FALSE(l->fwb());
 }
 
 TEST(Cache, LruVictimIsLeastRecentlyTouched)
@@ -91,13 +94,16 @@ TEST(Cache, InvalidateClearsAllState)
     Cache c("t", smallConfig());
     installLine(c, 0x80);
     CacheLine *l = c.find(0x80);
-    l->dirty = true;
-    l->fwb = true;
+    c.markDirty(l);
+    c.flagFwb(l);
     c.invalidate(l);
     EXPECT_FALSE(l->valid);
-    EXPECT_FALSE(l->dirty);
-    EXPECT_FALSE(l->fwb);
+    EXPECT_FALSE(l->dirty());
+    EXPECT_FALSE(l->fwb());
     EXPECT_EQ(c.find(0x80), nullptr);
+    std::size_t n = 0;
+    c.forEachDirtyLine([&](CacheLine &) { ++n; });
+    EXPECT_EQ(n, 0u) << "an invalid line left in the dirty bitmap";
 }
 
 TEST(Cache, InvalidateAll)
@@ -110,12 +116,39 @@ TEST(Cache, InvalidateAll)
         EXPECT_EQ(c.find(a), nullptr);
 }
 
-TEST(Cache, ForEachLineVisitsAllSlots)
+TEST(Cache, ForEachDirtyLineVisitsDirtyLinesInSlotOrder)
 {
     Cache c("t", smallConfig());
-    std::size_t n = 0;
-    c.forEachLine([&](CacheLine &) { ++n; });
-    EXPECT_EQ(n, 16u);
+    for (Addr a = 0; a < 16 * 64; a += 64)
+        installLine(c, a);
+    // Dirty every other line, then clean one of them again.
+    for (Addr a = 0; a < 16 * 64; a += 128)
+        c.markDirty(c.find(a));
+    c.markClean(c.find(4 * 64));
+    std::vector<CacheLine *> seen;
+    c.forEachDirtyLine([&](CacheLine &l) { seen.push_back(&l); });
+    ASSERT_EQ(seen.size(), 7u);
+    for (std::size_t i = 1; i < seen.size(); ++i)
+        EXPECT_LT(seen[i - 1], seen[i]) << "not in slot order";
+    for (const CacheLine *l : seen)
+        EXPECT_TRUE(l->valid && l->dirty());
+
+    // A line cleaned by the visitor further on is skipped; one
+    // dirtied further on is visited, as in a full slot-order walk.
+    CacheLine *first = seen[0];
+    CacheLine *second = seen[1];
+    CacheLine *clean = c.find(15 * 64);
+    std::vector<CacheLine *> visited;
+    c.forEachDirtyLine([&](CacheLine &l) {
+        visited.push_back(&l);
+        if (&l == first) {
+            c.markClean(second);
+            c.markDirty(clean);
+        }
+    });
+    ASSERT_EQ(visited.size(), 7u);
+    EXPECT_EQ(std::count(visited.begin(), visited.end(), second), 0);
+    EXPECT_EQ(visited.back(), clean);
 }
 
 TEST(Cache, SetsDoNotAlias)

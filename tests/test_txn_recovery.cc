@@ -95,8 +95,10 @@ TEST(TxnTracker, RequestAbortAfterLogFullAbortKeepsStateClean)
     TxnTracker t;
     std::uint64_t seq = t.begin(1);
     t.recordWrite(seq, 0x1000);
-    t.noteLogRecord(seq);
+    t.noteLogRecord(seq, 0, 7);
     EXPECT_EQ(t.logRecordCount(seq), 1u);
+    ASSERT_EQ(t.logSlots(seq).size(), 1u);
+    EXPECT_EQ(t.logSlots(seq)[0].slot, 7u);
     EXPECT_TRUE(t.requestAbort(seq));
     EXPECT_TRUE(t.requestAbort(seq)) << "duplicate already granted";
     EXPECT_EQ(t.abortRequests.value(), 1u);
@@ -107,6 +109,7 @@ TEST(TxnTracker, RequestAbortAfterLogFullAbortKeepsStateClean)
     EXPECT_EQ(t.abortEscalations.value(), 0u);
     EXPECT_EQ(t.writeSet(seq).size(), 0u);
     EXPECT_EQ(t.logRecordCount(seq), 0u);
+    EXPECT_TRUE(t.logSlots(seq).empty());
 }
 
 // ------------------- concurrency control (CC) --------------------
