@@ -43,6 +43,15 @@ struct CacheLine
 {
     Addr lineAddr = 0;
     bool valid = false;
+
+  private:
+    friend class Cache;
+
+    // Next to `valid`, so the three flags share one padded word.
+    bool dirtyBit = false;
+    bool fwbBit = false;
+
+  public:
     std::uint64_t lastUse = 0;
     std::vector<std::uint8_t> data;
 
@@ -50,12 +59,6 @@ struct CacheLine
 
     /** Force-write-back flag bit (paper Section IV-D). */
     bool fwb() const { return fwbBit; }
-
-  private:
-    friend class Cache;
-
-    bool dirtyBit = false;
-    bool fwbBit = false;
 };
 
 /**

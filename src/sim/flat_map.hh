@@ -49,7 +49,6 @@ class FlatMap
           count(std::exchange(other.count, 0)),
           shift(std::exchange(other.shift, 64))
     {
-        other.slots.clear();
     }
 
     FlatMap &
@@ -151,8 +150,6 @@ class FlatMap
     }
 
     std::size_t size() const { return count; }
-
-    bool empty() const { return count == 0; }
 
     /** Call @p fn(key, value) for every entry, in slot order. */
     template <typename Fn>
